@@ -343,7 +343,7 @@ void BM_AnalyticMixtureConvolve(benchmark::State& state) {
       0.2, stats::SkewNormal::from_moments(0.05, 0.006, 0.1),
       stats::SkewNormal::from_moments(0.06, 0.007, 0.3));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::convolve_lvf2(x, y));
+    benchmark::DoNotOptimize(core::convolve_mixtures(x, y, 2));
   }
 }
 BENCHMARK(BM_AnalyticMixtureConvolve);

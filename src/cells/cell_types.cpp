@@ -42,7 +42,9 @@ std::string Cell::type_name() const {
 std::string input_pin_name(CellFamily family, int index) {
   if (family == CellFamily::kMux) {
     // Data pins D0..D(n-1); selection handled as extra pins by caller.
-    return "D" + std::to_string(index);
+    std::string pin = "D";
+    pin += std::to_string(index);
+    return pin;
   }
   static const char* kPins[] = {"A", "B", "C", "D", "E", "F"};
   if (index < 0 || index >= 6) throw std::out_of_range("input pin index");
@@ -176,9 +178,11 @@ Cell build_cell(CellFamily family, int inputs, double drive) {
   cell.family = family;
   cell.inputs = inputs;
   cell.drive = drive;
-  const std::string strength =
-      (drive == 1.0) ? "X1" : (drive == 2.0) ? "X2" : (drive == 4.0) ? "X4"
-          : "X" + std::to_string(drive);
+  std::string strength = "X";
+  strength += (drive == 1.0)   ? "1"
+              : (drive == 2.0) ? "2"
+              : (drive == 4.0) ? "4"
+                               : std::to_string(drive);
   Cell tmp;
   tmp.family = family;
   tmp.inputs = inputs;

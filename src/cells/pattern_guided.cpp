@@ -13,7 +13,12 @@ double estimate_mixture_strength(std::span<const double> samples,
   // Per-sample log-likelihood advantage of a two-Gaussian mixture
   // over a single skew-normal. Any unimodal (even skewed) data is
   // matched by the skew-normal, so the advantage sits near 0; genuine
-  // mixtures gain O(0.01..1) nats per sample.
+  // mixtures gain O(0.01..1) nats per sample. The advantage is scaled
+  // by the fitted mixing balance 4 lambda (1 - lambda): a regime
+  // mixture puts real weight on both mechanisms, while a converged
+  // EM also finds a minority component of a few percent on the tail
+  // of any heavy-tailed unimodal set, which is shape, not a second
+  // regime (the factor is 1 at lambda = 1/2, ~0.3 at lambda = 0.08).
   const auto norm2 = core::Norm2Model::fit(samples, fit);
   const auto sn = stats::SkewNormal::fit_moments(samples);
   if (!norm2 || !sn) return 0.0;
@@ -23,7 +28,8 @@ double estimate_mixture_strength(std::span<const double> samples,
     ll1 += sn->log_pdf(x);
   }
   const double n = static_cast<double>(samples.size());
-  return std::max(0.0, (ll2 - ll1) / std::max(n, 1.0));
+  const double balance = 4.0 * norm2->lambda() * (1.0 - norm2->lambda());
+  return std::max(0.0, balance * (ll2 - ll1) / std::max(n, 1.0));
 }
 
 PatternGuidedResult pattern_guided_characterize_arc(

@@ -67,8 +67,9 @@ struct PatternGuidedResult {
 
 /// Mixture-strength estimate of a sample set: the per-sample
 /// log-likelihood advantage (nats) of a two-Gaussian mixture over a
-/// single skew-normal — ~0 for unimodal data (even skewed), clearly
-/// positive for genuine mixtures.
+/// single skew-normal, scaled by the mixing balance 4 lambda
+/// (1 - lambda) — ~0 for unimodal data (even skewed or heavy-tailed),
+/// clearly positive for genuine mixtures.
 double estimate_mixture_strength(std::span<const double> samples,
                                  const core::FitOptions& fit = {});
 

@@ -1,7 +1,6 @@
 #pragma once
-// Shared infrastructure for the EM-based mixture fits (Norm^2 and
-// LVF^2): the binned-likelihood data compression and the EM iteration
-// report.
+// Shared infrastructure of the mixture EM driver (core/mixture.h):
+// the binned-likelihood data compression and the EM iteration report.
 
 #include <cstddef>
 #include <span>
@@ -34,13 +33,14 @@ WeightedData make_weighted_data(std::span<const double> samples,
 WeightedData make_weighted_data(const stats::GridPdf& pdf);
 
 /// How far down the graceful-degradation chain a fit had to walk:
-///   validated samples -> mixture EM -> lambda = 0 single SN ->
+///   validated samples -> mixture EM -> single component ->
 ///   moment-matched normal / point mass.
 /// Every downgrade is also counted under a robust.downgrade.* metric.
 enum class FitDegradation : int {
-  kNone = 0,       ///< full two-component mixture fit
-  kSingleSn,       ///< fell back to the lambda = 0 single skew-normal
-                   ///< (paper Eq. 10 backward-compatibility target)
+  kNone = 0,       ///< full K-component mixture fit
+  kSingleSn,       ///< fell back to one moment-matched component of
+                   ///< the family (for LVF^2 the lambda = 0 single
+                   ///< skew-normal, paper Eq. 10)
   kMomentNormal,   ///< moment-matched normal / point mass (last rung)
   kRejected,       ///< nothing fittable at all (fit returned nullopt)
 };

@@ -5,10 +5,9 @@
 //   f_LVF2(x | lambda, theta1, theta2) =
 //       (1 - lambda) f_LVF(x | theta1) + lambda f_LVF(x | theta2)
 //
-// (paper Eq. 4), fitted by EM (Section 3.2): K-means + method of
-// moments initialization, E-step responsibilities (Eq. 6), and an
-// M-step that maximizes the expected complete-data log-likelihood
-// (Eq. 7-9) by weighted skew-normal MLE per component.
+// (paper Eq. 4), fitted by EM (Section 3.2). This is a named facade:
+// the model is a core::Mixture of K = 2 skew-normals, and the fit is
+// Mixture's EM driver (core/mixture.h).
 //
 // Backward compatibility (Section 3.3 / Eq. 10): lambda == 0 makes
 // LVF^2 collapse to the plain LVF skew-normal, and `from_lvf`
@@ -16,9 +15,7 @@
 
 #include <optional>
 
-#include "core/em.h"
-#include "core/timing_model.h"
-#include "stats/skew_normal.h"
+#include "core/mixture.h"
 
 namespace lvf2::core {
 
@@ -31,69 +28,59 @@ struct Lvf2Parameters {
 };
 
 /// Two-component skew-normal mixture model.
-class Lvf2Model final : public TimingModel {
+class Lvf2Model final : public Mixture {
  public:
   /// Direct construction; `lambda` in [0,1] weights `second`.
   Lvf2Model(double lambda, const stats::SkewNormal& first,
-            const stats::SkewNormal& second);
+            const stats::SkewNormal& second)
+      : Mixture(ModelKind::kLvf2, {{1.0 - lambda, first}, {lambda, second}}) {}
 
   /// Backward compatibility (Eq. 10): an LVF^2 with lambda = 0 whose
   /// first component is the given LVF skew-normal.
-  static Lvf2Model from_lvf(const stats::SkewNormal& lvf);
+  static Lvf2Model from_lvf(const stats::SkewNormal& lvf) {
+    return Lvf2Model(0.0, lvf, lvf);
+  }
 
   /// Construction from Liberty moment-space parameters.
-  static Lvf2Model from_parameters(const Lvf2Parameters& p);
+  static Lvf2Model from_parameters(const Lvf2Parameters& p) {
+    return Lvf2Model(p.lambda, stats::SkewNormal::from_moments(p.theta1),
+                     stats::SkewNormal::from_moments(p.theta2));
+  }
 
-  /// EM fit per paper Section 3.2, hardened by a graceful-degradation
-  /// chain: non-finite samples are dropped and absurd outliers
-  /// winsorized first; if EM cannot hold a mixture the fit falls back
-  /// to a lambda = 0 single skew-normal (Eq. 10), then to a
-  /// moment-matched point mass for constant data. Only an empty
-  /// sample set returns nullopt. `report->degradation` (and the
-  /// robust.downgrade.* counters) record which rung was used.
+  /// Mixture::fit with K = 2 skew-normal components (see there for the
+  /// degradation chain; only an empty sample set returns nullopt).
   static std::optional<Lvf2Model> fit(std::span<const double> samples,
                                       const FitOptions& options = {},
-                                      EmReport* report = nullptr);
+                                      EmReport* report = nullptr) {
+    return as<Lvf2Model>(
+        Mixture::fit(samples, ModelKind::kLvf2, 2, options, report));
+  }
 
-  /// EM fit directly on weighted observations (e.g. a tabulated
-  /// density from block-based SSTA propagation — the family refit at
-  /// each timing-graph node).
+  /// Mixture::fit_weighted with K = 2 skew-normal components (e.g. the
+  /// family refit at each timing-graph node of block-based SSTA).
   static std::optional<Lvf2Model> fit_weighted(const WeightedData& data,
                                                const FitOptions& options = {},
-                                               EmReport* report = nullptr);
+                                               EmReport* report = nullptr) {
+    return as<Lvf2Model>(
+        Mixture::fit_weighted(data, ModelKind::kLvf2, 2, options, report));
+  }
 
-  double lambda() const { return lambda_; }
-  const stats::SkewNormal& component1() const { return first_; }
-  const stats::SkewNormal& component2() const { return second_; }
+  double lambda() const { return components()[1].weight; }
+  const stats::SkewNormal& component1() const { return components()[0].sn; }
+  const stats::SkewNormal& component2() const { return components()[1].sn; }
 
   /// Moment-space parameters for Liberty export.
-  Lvf2Parameters parameters() const;
+  Lvf2Parameters parameters() const {
+    return Lvf2Parameters{lambda(), component1().to_moments(),
+                          component2().to_moments()};
+  }
 
   /// True when the model is an LVF-compatible single skew-normal.
-  bool is_pure_lvf() const { return lambda_ == 0.0; }
-
-  ModelKind kind() const override { return ModelKind::kLvf2; }
-  double pdf(double x) const override;
-  double log_pdf(double x) const;
-  double cdf(double x) const override;
-  void pdf_batch(std::span<const double> x,
-                 std::span<double> out) const override;
-  void cdf_batch(std::span<const double> x,
-                 std::span<double> out) const override;
-  double quantile(double p) const override;
-  double mean() const override;
-  double stddev() const override;
-  double skewness() const;
-  double sample(stats::Rng& rng) const override;
-
-  /// Weighted log-likelihood of a data set under this model
-  /// (paper Eq. 5 with weights).
-  double log_likelihood(const WeightedData& data) const;
+  bool is_pure_lvf() const { return lambda() == 0.0; }
 
  private:
-  double lambda_ = 0.0;
-  stats::SkewNormal first_;
-  stats::SkewNormal second_;
+  friend class Mixture;
+  explicit Lvf2Model(Mixture m) : Mixture(std::move(m)) {}
 };
 
 }  // namespace lvf2::core

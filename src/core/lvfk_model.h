@@ -2,78 +2,48 @@
 // LVF^k — the K-component generalization of LVF^2. Paper Section 3.3:
 // "Although LVF^2 assumes only two Gaussian components, one can
 // easily extend the library to support more components by following
-// similar attribute naming conventions." This model implements that
-// extension: a K-component skew-normal mixture
-//
-//   f(x) = sum_k w_k f_SN(x | theta_k),   sum_k w_k = 1,
-//
-// fitted by the same EM machinery (K-means initialization, weighted
-// skew-normal MLE M-step, staged multi-start, moment pinning).
-// K = 1 degenerates to LVF and K = 2 to LVF^2.
+// similar attribute naming conventions." This is a named facade: the
+// model is a core::Mixture of K skew-normals with K chosen by the
+// caller, fitted by the same EM driver as LVF^2 (core/mixture.h).
+// K = 1 degenerates to LVF and K = 2 reproduces Lvf2Model::fit.
 
 #include <optional>
 #include <vector>
 
-#include "core/em.h"
-#include "core/timing_model.h"
-#include "stats/skew_normal.h"
+#include "core/mixture.h"
 
 namespace lvf2::core {
 
 /// K-component skew-normal mixture.
-class LvfKModel final : public TimingModel {
+class LvfKModel final : public Mixture {
  public:
-  /// One weighted component.
-  struct Component {
-    double weight = 1.0;
-    stats::SkewNormal sn;
-  };
-
   /// Direct construction; weights are normalized to sum to 1 and
   /// components are sorted by ascending mean. Requires >= 1 component
   /// and positive total weight.
-  explicit LvfKModel(std::vector<Component> components);
+  explicit LvfKModel(std::vector<Component> components)
+      : Mixture(normalized(ModelKind::kLvfK, std::move(components))) {}
 
-  /// EM fit with `k` components. Returns nullopt for degenerate
-  /// data. Components whose weight collapses during EM are dropped
-  /// (the effective K of the result can be smaller than requested).
+  /// Mixture::fit with `k` skew-normal components.
   static std::optional<LvfKModel> fit(std::span<const double> samples,
                                       std::size_t k,
                                       const FitOptions& options = {},
-                                      EmReport* report = nullptr);
+                                      EmReport* report = nullptr) {
+    return as<LvfKModel>(
+        Mixture::fit(samples, ModelKind::kLvfK, k, options, report));
+  }
 
-  /// EM fit on weighted observations (tabulated densities).
+  /// Mixture::fit_weighted with `k` skew-normal components.
   static std::optional<LvfKModel> fit_weighted(const WeightedData& data,
                                                std::size_t k,
                                                const FitOptions& options = {},
-                                               EmReport* report = nullptr);
-
-  const std::vector<Component>& components() const { return components_; }
-  std::size_t component_count() const { return components_.size(); }
-
-  /// Weighted log-likelihood of a data set under this model.
-  double log_likelihood(const WeightedData& data) const;
-
-  /// Bayesian information criterion for model-order selection:
-  /// -2 logL + p ln(n) with p = 4K - 1 free parameters.
-  double bic(const WeightedData& data) const;
-
-  ModelKind kind() const override { return ModelKind::kLvfK; }
-  double pdf(double x) const override;
-  double log_pdf(double x) const;
-  double cdf(double x) const override;
-  void pdf_batch(std::span<const double> x,
-                 std::span<double> out) const override;
-  void cdf_batch(std::span<const double> x,
-                 std::span<double> out) const override;
-  double quantile(double p) const override;
-  double mean() const override;
-  double stddev() const override;
-  double skewness() const;
-  double sample(stats::Rng& rng) const override;
+                                               EmReport* report = nullptr) {
+    return as<LvfKModel>(
+        Mixture::fit_weighted(data, ModelKind::kLvfK, k, options, report));
+  }
 
  private:
-  std::vector<Component> components_;
+  friend class Mixture;
+  explicit LvfKModel(Mixture m) : Mixture(std::move(m)) {}
 };
 
 }  // namespace lvf2::core

@@ -8,54 +8,39 @@ namespace lvf2::core {
 
 namespace {
 
-// (mean, variance, third central moment) of a skew-normal.
-struct M3 {
-  double mean;
-  double var;
-  double m3;
-};
-
-M3 moments_of(const stats::SkewNormal& sn) {
+// Third central moment of a skew-normal.
+double third_moment(const stats::SkewNormal& sn) {
   const double var = sn.variance();
-  return M3{sn.mean(), var, sn.skewness() * var * std::sqrt(var)};
-}
-
-stats::SkewNormal from_m3(const M3& m) {
-  const double sd = std::sqrt(std::max(m.var, 1e-300));
-  const double skew = m.m3 / (m.var * sd);
-  return stats::SkewNormal::from_moments(m.mean, sd, skew);
+  return sn.skewness() * var * std::sqrt(var);
 }
 
 }  // namespace
 
 stats::SkewNormal convolve_skew_normals(const stats::SkewNormal& x,
                                         const stats::SkewNormal& y) {
-  const M3 a = moments_of(x);
-  const M3 b = moments_of(y);
   // Cumulants (= central moments through order 3) are additive for
   // independent sums.
-  return from_m3(M3{a.mean + b.mean, a.var + b.var, a.m3 + b.m3});
+  const double var = x.variance() + y.variance();
+  const double sd = std::sqrt(std::max(var, 1e-300));
+  const double m3 = third_moment(x) + third_moment(y);
+  return stats::SkewNormal::from_moments(x.mean() + y.mean(), sd,
+                                         m3 / (var * sd));
 }
 
 stats::SkewNormal merge_skew_normals(double w1, const stats::SkewNormal& a,
                                      double w2, const stats::SkewNormal& b) {
   const double total = w1 + w2;
   const double p = (total > 0.0) ? w1 / total : 0.5;
-  const double q = 1.0 - p;
-  const M3 ma = moments_of(a);
-  const M3 mb = moments_of(b);
-  const double mean = p * ma.mean + q * mb.mean;
-  const double da = ma.mean - mean;
-  const double db = mb.mean - mean;
-  const double var = p * (ma.var + da * da) + q * (mb.var + db * db);
-  const double m3 = p * (ma.m3 + 3.0 * da * ma.var + da * da * da) +
-                    q * (mb.m3 + 3.0 * db * mb.var + db * db * db);
-  return from_m3(M3{mean, var, m3});
+  const Mixture pair(ModelKind::kLvfK, {{p, a}, {1.0 - p, b}});
+  return stats::SkewNormal::from_moments(pair.mean(), pair.stddev(),
+                                         pair.skewness());
 }
 
-LvfKModel reduce_mixture(const LvfKModel& model,
-                         std::size_t max_components) {
-  std::vector<LvfKModel::Component> comps = model.components();
+Mixture reduce_mixture(const Mixture& model, std::size_t max_components) {
+  std::vector<Mixture::Component> comps;
+  for (const Mixture::Component& c : model.components()) {
+    if (c.weight > 0.0) comps.push_back(c);
+  }
   if (max_components == 0) max_components = 1;
   while (comps.size() > max_components) {
     // Find the pair with the smallest moment-space distance,
@@ -79,19 +64,19 @@ LvfKModel reduce_mixture(const LvfKModel& model,
         }
       }
     }
-    LvfKModel::Component merged;
+    Mixture::Component merged;
     merged.weight = comps[bi].weight + comps[bj].weight;
     merged.sn = merge_skew_normals(comps[bi].weight, comps[bi].sn,
                                    comps[bj].weight, comps[bj].sn);
     comps.erase(comps.begin() + static_cast<std::ptrdiff_t>(bj));
     comps[bi] = merged;
   }
-  return LvfKModel(std::move(comps));
+  return Mixture::normalized(ModelKind::kLvfK, std::move(comps));
 }
 
-LvfKModel convolve_mixtures(const LvfKModel& x, const LvfKModel& y,
-                            std::size_t max_components) {
-  std::vector<LvfKModel::Component> comps;
+Mixture convolve_mixtures(const Mixture& x, const Mixture& y,
+                          std::size_t max_components) {
+  std::vector<Mixture::Component> comps;
   comps.reserve(x.components().size() * y.components().size());
   for (const auto& a : x.components()) {
     for (const auto& b : y.components()) {
@@ -99,27 +84,8 @@ LvfKModel convolve_mixtures(const LvfKModel& x, const LvfKModel& y,
           {a.weight * b.weight, convolve_skew_normals(a.sn, b.sn)});
     }
   }
-  return reduce_mixture(LvfKModel(std::move(comps)), max_components);
-}
-
-LvfKModel to_lvfk(const Lvf2Model& model) {
-  std::vector<LvfKModel::Component> comps;
-  if (model.lambda() < 1.0) {
-    comps.push_back({1.0 - model.lambda(), model.component1()});
-  }
-  if (model.lambda() > 0.0) {
-    comps.push_back({model.lambda(), model.component2()});
-  }
-  return LvfKModel(std::move(comps));
-}
-
-Lvf2Model convolve_lvf2(const Lvf2Model& x, const Lvf2Model& y) {
-  const LvfKModel reduced = convolve_mixtures(to_lvfk(x), to_lvfk(y), 2);
-  const auto& comps = reduced.components();
-  if (comps.size() == 1) {
-    return Lvf2Model::from_lvf(comps[0].sn);
-  }
-  return Lvf2Model(comps[1].weight, comps[0].sn, comps[1].sn);
+  return reduce_mixture(Mixture::normalized(ModelKind::kLvfK, std::move(comps)),
+                        max_components);
 }
 
 }  // namespace lvf2::core

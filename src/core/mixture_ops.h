@@ -17,8 +17,7 @@
 // all — the trade-off against grid convolution is benchmarked in
 // bench_perf and unit-tested against the grid reference.
 
-#include "core/lvf2_model.h"
-#include "core/lvfk_model.h"
+#include "core/mixture.h"
 
 namespace lvf2::core {
 
@@ -33,20 +32,15 @@ stats::SkewNormal merge_skew_normals(double w1, const stats::SkewNormal& a,
                                      double w2, const stats::SkewNormal& b);
 
 /// Reduces a mixture to at most `max_components` by greedily merging
-/// the pair with the smallest moment-space distance.
-LvfKModel reduce_mixture(const LvfKModel& model, std::size_t max_components);
+/// the pair with the smallest moment-space distance. Zero-weight
+/// components (e.g. the empty slot of a lambda = 0 LVF^2) are dropped.
+/// The result is an LVF^k skew-normal mixture sorted by mean.
+Mixture reduce_mixture(const Mixture& model, std::size_t max_components);
 
 /// Analytic distribution of X + Y for independent mixtures: pairwise
-/// component convolution followed by reduction to `max_components`.
-LvfKModel convolve_mixtures(const LvfKModel& x, const LvfKModel& y,
-                            std::size_t max_components = 4);
-
-/// Convenience overload on the paper's two-component models; the
-/// result is reduced back to two components, staying in LVF^2 form
-/// (what an LVF^2-native SSTA engine would carry per node).
-Lvf2Model convolve_lvf2(const Lvf2Model& x, const Lvf2Model& y);
-
-/// Lifts an Lvf2Model into the K-component representation.
-LvfKModel to_lvfk(const Lvf2Model& model);
+/// component convolution followed by reduction to `max_components`
+/// (2 keeps an LVF^2-native SSTA engine in two-component form).
+Mixture convolve_mixtures(const Mixture& x, const Mixture& y,
+                          std::size_t max_components = 4);
 
 }  // namespace lvf2::core

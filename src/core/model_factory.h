@@ -10,8 +10,11 @@
 
 namespace lvf2::core {
 
-/// Fits the model of the requested kind. Returns nullptr for
-/// degenerate data (empty / constant sample sets).
+/// Fits the model of the requested kind. The mixtures (LVF2, Norm2,
+/// LVFk) walk Mixture::fit's degradation chain down to a point mass
+/// and return nullptr only for an empty sample set; LVF and LESN
+/// return nullptr for empty or constant sets (LESN also below 4
+/// samples).
 std::unique_ptr<TimingModel> fit_model(ModelKind kind,
                                        std::span<const double> samples,
                                        const FitOptions& options = {});

@@ -120,7 +120,13 @@ ArgsBuilder& ArgsBuilder::add_number(std::string_view key,
 }
 
 std::string ArgsBuilder::str() {
-  return "{" + std::move(body_) + "}";
+  std::string out;
+  out.reserve(body_.size() + 2);
+  out += '{';
+  out += body_;
+  out += '}';
+  body_.clear();
+  return out;
 }
 
 Tracer& Tracer::instance() {

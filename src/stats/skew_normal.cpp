@@ -182,15 +182,6 @@ std::optional<SkewNormal> SkewNormal::fit_moments(
 
 std::optional<SkewNormal> SkewNormal::fit_weighted_mle(
     std::span<const double> samples, std::span<const double> weights,
-    const SkewNormal* initial, std::size_t max_evaluations) {
-  NelderMeadOptions options;
-  options.max_evaluations = max_evaluations;
-  options.initial_step = 0.25;
-  return fit_weighted_mle(samples, weights, initial, options);
-}
-
-std::optional<SkewNormal> SkewNormal::fit_weighted_mle(
-    std::span<const double> samples, std::span<const double> weights,
     const SkewNormal* initial, const NelderMeadOptions& options) {
   if (samples.empty() || samples.size() != weights.size()) return std::nullopt;
   std::optional<SkewNormal> start;

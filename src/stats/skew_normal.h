@@ -77,21 +77,15 @@ class SkewNormal {
   /// Fourth standardized moment (normal == 3).
   double kurtosis() const;
 
-  /// Weighted maximum-likelihood fit (used by the LVF^2 M-step):
+  /// Weighted maximum-likelihood fit (the skew-normal EM M-step):
   /// maximizes sum_i w_i log f(x_i) over (xi, log omega, alpha) with
   /// Nelder-Mead, warm-started from `initial` when provided, else from
-  /// the weighted method of moments. Returns nullopt when the data or
-  /// weights are degenerate.
-  static std::optional<SkewNormal> fit_weighted_mle(
-      std::span<const double> samples, std::span<const double> weights,
-      const SkewNormal* initial = nullptr, std::size_t max_evaluations = 400);
-
-  /// Same fit with full control of the Nelder-Mead schedule. EM-style
-  /// callers pass a shrinking `initial_step` as successive M-steps
-  /// move less, so a warm-started refinement converges in a fraction
-  /// of the cold-start budget. The returned fit is never worse (in
-  /// weighted NLL) than `initial`: the start point is a simplex
-  /// vertex.
+  /// the weighted method of moments. EM callers pass a shrinking
+  /// `options.initial_step` as successive M-steps move less, so a
+  /// warm-started refinement converges in a fraction of the
+  /// cold-start budget. The returned fit is never worse (in weighted
+  /// NLL) than `initial`: the start point is a simplex vertex. Returns
+  /// nullopt when the data or weights are degenerate.
   static std::optional<SkewNormal> fit_weighted_mle(
       std::span<const double> samples, std::span<const double> weights,
       const SkewNormal* initial, const NelderMeadOptions& options);

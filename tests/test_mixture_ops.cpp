@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/lvf2_model.h"
+#include "core/lvfk_model.h"
 #include "core/mixture_ops.h"
 #include "ssta/block_ssta.h"
 #include "stats/descriptive.h"
@@ -95,7 +97,7 @@ TEST(ReduceMixture, MergesNearestPairFirst) {
   comps.push_back({0.4, stats::SkewNormal::from_moments(1.02, 0.05, 0.0)});
   comps.push_back({0.2, stats::SkewNormal::from_moments(2.00, 0.05, 0.0)});
   const LvfKModel model(std::move(comps));
-  const LvfKModel reduced = reduce_mixture(model, 2);
+  const Mixture reduced = reduce_mixture(model, 2);
   ASSERT_EQ(reduced.component_count(), 2u);
   // The two near-identical components merged; the distant one stays.
   EXPECT_NEAR(reduced.components()[0].sn.mean(), 1.01, 0.01);
@@ -111,7 +113,7 @@ TEST(ConvolveMixtures, AgainstMonteCarlo) {
                     stats::SkewNormal::from_moments(1.2, 0.06, 0.0));
   const Lvf2Model y(0.5, stats::SkewNormal::from_moments(0.5, 0.04, -0.2),
                     stats::SkewNormal::from_moments(0.65, 0.05, 0.4));
-  const LvfKModel sum = convolve_mixtures(to_lvfk(x), to_lvfk(y), 4);
+  const Mixture sum = convolve_mixtures(x, y, 4);
 
   stats::Rng rng(test::test_seed(11));
   std::vector<double> mc(200000);
@@ -131,9 +133,12 @@ TEST(ConvolveLvf2, StaysInTwoComponentForm) {
                     stats::SkewNormal::from_moments(1.3, 0.05, 0.0));
   const Lvf2Model y(0.2, stats::SkewNormal::from_moments(0.4, 0.03, 0.0),
                     stats::SkewNormal::from_moments(0.5, 0.04, 0.1));
-  const Lvf2Model sum = convolve_lvf2(x, y);
-  EXPECT_GE(sum.lambda(), 0.0);
-  EXPECT_LE(sum.lambda(), 1.0);
+  const Mixture sum = convolve_mixtures(x, y, 2);
+  ASSERT_EQ(sum.component_count(), 2u);
+  for (const Mixture::Component& c : sum.components()) {
+    EXPECT_GE(c.weight, 0.0);
+    EXPECT_LE(c.weight, 1.0);
+  }
   // Exact mixture mean/variance are preserved through reduction.
   const double mean_ref = x.mean() + y.mean();
   const double var_ref = x.stddev() * x.stddev() + y.stddev() * y.stddev();
@@ -147,19 +152,11 @@ TEST(ConvolveLvf2, ChainKeepsCltBehaviour) {
   const Lvf2Model stage(0.4,
                         stats::SkewNormal::from_moments(0.01, 0.001, 0.4),
                         stats::SkewNormal::from_moments(0.013, 0.001, 0.0));
-  Lvf2Model total = stage;
-  for (int i = 1; i < 16; ++i) total = convolve_lvf2(total, stage);
+  Mixture total = stage;
+  for (int i = 1; i < 16; ++i) total = convolve_mixtures(total, stage, 2);
   EXPECT_NEAR(total.mean(), 16.0 * stage.mean(), 1e-9);
   EXPECT_NEAR(total.stddev(), 4.0 * stage.stddev(), 1e-6);
   EXPECT_LT(std::fabs(total.skewness()), 0.15);
-}
-
-TEST(ToLvfk, RoundTripOfPureLvf) {
-  const Lvf2Model pure = Lvf2Model::from_lvf(
-      stats::SkewNormal::from_moments(1.0, 0.1, 0.5));
-  const LvfKModel k = to_lvfk(pure);
-  EXPECT_EQ(k.component_count(), 1u);
-  EXPECT_NEAR(k.mean(), pure.mean(), 1e-12);
 }
 
 }  // namespace

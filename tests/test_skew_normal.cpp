@@ -194,7 +194,8 @@ TEST(SkewNormal, WeightedMleImprovesOnMoments) {
   Rng rng(test::test_seed(13));
   std::vector<double> xs(20000), ws(20000, 1.0);
   for (auto& x : xs) x = truth.sample(rng);
-  const auto mle = SkewNormal::fit_weighted_mle(xs, ws, nullptr, 2000);
+  const auto mle = SkewNormal::fit_weighted_mle(
+      xs, ws, nullptr, {.max_evaluations = 2000, .initial_step = 0.25});
   ASSERT_TRUE(mle.has_value());
   // MLE should land close to the true direct parameters even though
   // the skewness is near the moment-method clamp.
@@ -215,7 +216,8 @@ TEST(SkewNormal, WeightedMleRespectsWeights) {
     xs.push_back(rng.normal(50.0, 1.0));
     ws.push_back(0.0);
   }
-  const auto fit = SkewNormal::fit_weighted_mle(xs, ws, nullptr, 1000);
+  const auto fit = SkewNormal::fit_weighted_mle(
+      xs, ws, nullptr, {.max_evaluations = 1000, .initial_step = 0.25});
   ASSERT_TRUE(fit.has_value());
   EXPECT_NEAR(fit->mean(), 0.0, 0.1);
   EXPECT_NEAR(fit->stddev(), 1.0, 0.1);

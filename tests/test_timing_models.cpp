@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,8 +13,11 @@
 #include "core/lesn_model.h"
 #include "core/lvf2_model.h"
 #include "core/lvf_model.h"
+#include "core/lvfk_model.h"
 #include "core/model_factory.h"
 #include "core/norm2_model.h"
+#include "obs/metrics.h"
+#include "robust/faults.h"
 #include "stats/descriptive.h"
 
 #include "test_util.h"
@@ -244,29 +248,84 @@ TEST(Lvf2Model, LogPdfMatchesPdf) {
   }
 }
 
+// Every mixture family runs the same EM driver, so every one walks the
+// same degradation chain: LVF^2, Norm^2 and LVF^k with K = 3.
+struct MixtureFamily {
+  const char* name;
+  std::size_t k;
+  std::optional<Mixture> (*fit)(std::span<const double>, const FitOptions&,
+                                EmReport*);
+};
+
+template <typename Facade>
+std::optional<Mixture> as_mixture(std::optional<Facade> m) {
+  if (!m) return std::nullopt;
+  return Mixture(std::move(*m));
+}
+
+const MixtureFamily kMixtureFamilies[] = {
+    {"LVF2", 2,
+     [](std::span<const double> xs, const FitOptions& o, EmReport* r) {
+       return as_mixture(Lvf2Model::fit(xs, o, r));
+     }},
+    {"Norm2", 2,
+     [](std::span<const double> xs, const FitOptions& o, EmReport* r) {
+       return as_mixture(Norm2Model::fit(xs, o, r));
+     }},
+    {"LVFk3", 3,
+     [](std::span<const double> xs, const FitOptions& o, EmReport* r) {
+       return as_mixture(LvfKModel::fit(xs, 3, o, r));
+     }},
+};
+
 TEST(Lvf2Model, DegenerateDataWalksDegradationChain) {
-  // Empty input: nothing fittable, the chain ends at rejection.
-  EmReport rep;
-  EXPECT_FALSE(Lvf2Model::fit({}, {}, &rep).has_value());
-  EXPECT_EQ(rep.degradation, FitDegradation::kRejected);
-
-  // Constant data: last usable rung — a moment-matched point mass.
   const std::vector<double> constant(100, 5.0);
-  const auto m = Lvf2Model::fit(constant, {}, &rep);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(rep.degradation, FitDegradation::kMomentNormal);
-  EXPECT_NEAR(m->mean(), 5.0, 1e-6);
-  EXPECT_LT(m->stddev(), 1e-7);
-  EXPECT_NEAR(m->cdf(5.0 + 1e-6), 1.0, 1e-9);
-
-  // A handful of spread-out samples: too few for EM, lambda = 0
-  // single skew-normal by method of moments.
   const std::vector<double> few{1.0, 2.0, 3.0, 4.0};
-  const auto f = Lvf2Model::fit(few, {}, &rep);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(rep.degradation, FitDegradation::kSingleSn);
-  EXPECT_DOUBLE_EQ(f->lambda(), 0.0);
-  EXPECT_NEAR(f->mean(), 2.5, 1e-9);
+  const auto c1 = stats::SkewNormal::from_moments(1.0, 0.05, 0.0);
+  const auto c2 = stats::SkewNormal::from_moments(1.5, 0.05, 0.0);
+  const std::vector<double> bimodal = sn_mixture_samples(0.5, c1, c2, 4000, 22);
+  obs::Counter& single_sn = obs::counter("robust.downgrade.single_sn");
+  for (const MixtureFamily& family : kMixtureFamilies) {
+    SCOPED_TRACE(family.name);
+    // Empty input: nothing fittable, the chain ends at rejection.
+    EmReport rep;
+    EXPECT_FALSE(family.fit({}, {}, &rep).has_value());
+    EXPECT_EQ(rep.degradation, FitDegradation::kRejected);
+
+    // Constant data: last usable rung — a moment-matched point mass.
+    const auto m = family.fit(constant, {}, &rep);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(rep.degradation, FitDegradation::kMomentNormal);
+    EXPECT_NEAR(m->mean(), 5.0, 1e-6);
+    EXPECT_LT(m->stddev(), 1e-7);
+    EXPECT_NEAR(m->cdf(5.0 + 1e-6), 1.0, 1e-9);
+
+    // A handful of spread-out samples: too few for EM, one component
+    // by method of moments (lambda = 0 for K = 2, paper Eq. 10).
+    const auto f = family.fit(few, {}, &rep);
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(rep.degradation, FitDegradation::kSingleSn);
+    ASSERT_EQ(f->component_count(), family.k);
+    EXPECT_DOUBLE_EQ(f->components()[0].weight, 1.0);
+    for (std::size_t c = 1; c < family.k; ++c) {
+      EXPECT_DOUBLE_EQ(f->components()[c].weight, 0.0);
+    }
+    EXPECT_NEAR(f->mean(), 2.5, 1e-9);
+
+    // EM collapse on fittable data falls back to one component, and
+    // the report and the robust.downgrade.* counter say so.
+    ASSERT_TRUE(
+        robust::FaultInjector::instance().configure("em.collapse").is_ok());
+    const std::uint64_t before = single_sn.value();
+    const auto collapsed = family.fit(bimodal, {}, &rep);
+    robust::FaultInjector::instance().clear();
+    ASSERT_TRUE(collapsed.has_value());
+    EXPECT_TRUE(rep.collapsed);
+    EXPECT_EQ(rep.degradation, FitDegradation::kSingleSn);
+    EXPECT_EQ(single_sn.value(), before + 1);
+    EXPECT_DOUBLE_EQ(collapsed->components()[0].weight, 1.0);
+    EXPECT_NEAR(collapsed->mean(), 1.25, 0.05);
+  }
 }
 
 TEST(Lvf2Model, FitSanitizesPoisonedSamples) {
@@ -279,14 +338,17 @@ TEST(Lvf2Model, FitSanitizesPoisonedSamples) {
   xs[500] = std::numeric_limits<double>::infinity();
   xs[900] = -std::numeric_limits<double>::infinity();
   xs[1234] = 1e9;  // absurd outlier spike
-  EmReport rep;
-  const auto m = Lvf2Model::fit(xs, {}, &rep);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(rep.dropped_samples, 3u);
-  EXPECT_GE(rep.clipped_samples, 1u);
-  EXPECT_TRUE(std::isfinite(m->mean()));
-  EXPECT_NEAR(m->mean(), 1.25, 0.1);
-  EXPECT_LT(m->stddev(), 1.0);
+  for (const MixtureFamily& family : kMixtureFamilies) {
+    SCOPED_TRACE(family.name);
+    EmReport rep;
+    const auto m = family.fit(xs, {}, &rep);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(rep.dropped_samples, 3u);
+    EXPECT_GE(rep.clipped_samples, 1u);
+    EXPECT_TRUE(std::isfinite(m->mean()));
+    EXPECT_NEAR(m->mean(), 1.25, 0.1);
+    EXPECT_LT(m->stddev(), 1.0);
+  }
 }
 
 TEST(ModelFactory, FitsAllKinds) {
