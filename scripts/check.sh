@@ -43,9 +43,11 @@
 # deadline-tagged requests within deadline + slack). The faulted soak
 # also exercises the serving-telemetry surface: the `metrics` op is
 # scraped mid-soak both inline (lvf2d_soak --scrape-every) and over a
-# live lvf2_top --prometheus scrape that must be well-formed and
-# reconcile with the drain manifest's serve_telemetry section, whose
-# deadline-population p99 queue+exec must fit the 250 ms budget; the
+# live lvf2_top --prometheus scrape that must be well-formed (each
+# family declared once) and reconcile with the drain manifest's
+# serve_telemetry section, whose per-op rows must balance (ok + failed
+# == responded, rungs sum to ok) and whose deadline-population p99
+# queue+exec must fit the 250 ms budget; the
 # JSONL access log (LVF2_ACCESS_LOG) must parse line-for-line and
 # summarize cleanly under `lvf2_report serve`.
 #
@@ -493,6 +495,14 @@ ops = tel["ops"]
 responded = sum(int(row["responded"]) for row in ops.values())
 assert responded == serve["responded"], \
     f"op rows sum to {responded}, serve.responded is {serve['responded']}"
+# Within each op row: every answer is ok or failed, and every ok
+# answer sits on exactly one degradation rung.
+for op, row in ops.items():
+    assert row["ok"] + row["failed"] == row["responded"], \
+        f"{op}: ok {row['ok']} + failed {row['failed']} != " \
+        f"responded {row['responded']}"
+    rungs = sum(row["degradation"].values())
+    assert rungs == row["ok"], f"{op}: rungs sum to {rungs}, ok is {row['ok']}"
 
 # Deadline SLO: the soak runs every timed request under the daemon's
 # 250 ms budget, and degradation (not lateness) is the escape hatch —
@@ -507,8 +517,8 @@ assert p99 <= budget, \
     f"deadline p99 queue+exec {p99:.1f} ms exceeds the {budget:.0f} ms budget"
 
 # The mid-soak Prometheus scrape: every sample's family is declared
-# with # TYPE before use, values parse, and the cumulative per-op
-# counts can only have grown by drain time.
+# with # TYPE exactly once and before use, values parse, and the
+# cumulative per-op counts can only have grown by drain time.
 declared = set()
 samples = {}
 for line in open(os.path.join(d, "metrics.prom")):
@@ -516,7 +526,9 @@ for line in open(os.path.join(d, "metrics.prom")):
     if not line:
         continue
     if line.startswith("# TYPE "):
-        declared.add(line.split()[2])
+        family = line.split()[2]
+        assert family not in declared, f"family {family} declared twice"
+        declared.add(family)
         continue
     if line.startswith("#"):
         continue

@@ -58,7 +58,7 @@ struct EmReport {
   bool oscillated = false;  ///< log-likelihood decreased repeatedly
                             ///< (numerical pathology; treated as collapse)
   std::size_t dropped_samples = 0;  ///< non-finite samples removed
-  std::size_t clipped_samples = 0;  ///< outlier samples winsorized
+  std::size_t clipped_samples = 0;  ///< outlier samples dropped
   FitDegradation degradation = FitDegradation::kNone;
 };
 

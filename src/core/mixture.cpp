@@ -590,10 +590,11 @@ std::optional<Mixture> Mixture::fit(std::span<const double> samples,
     use = cleaned;
   }
 
-  // Winsorize absurd outliers at quantile fences 50 IQRs out: clean
+  // Drop absurd outliers beyond quantile fences 50 IQRs out: clean
   // Monte-Carlo data never reaches them (~67 sigma for a normal), a
-  // poisoned spike always does. An unbounded spike would otherwise
-  // wreck the binned-likelihood grid for every honest sample.
+  // poisoned spike always does. A spike kept in the data, even one
+  // clamped to the fence, would stretch the binned-likelihood grid
+  // over the empty gap and starve every honest sample of bins.
   std::size_t clipped = 0;
   if (use.size() >= 8) {
     std::vector<double> sorted(use.begin(), use.end());
@@ -608,10 +609,12 @@ std::optional<Mixture> Mixture::fit(std::span<const double> samples,
     const double fence_hi = q3 + 50.0 * iqr;
     const auto outside = [&](double x) { return x < fence_lo || x > fence_hi; };
     if (iqr > 0.0 && std::any_of(use.begin(), use.end(), outside)) {
-      if (cleaned.empty()) cleaned.assign(use.begin(), use.end());
-      clipped = static_cast<std::size_t>(
-          std::count_if(cleaned.begin(), cleaned.end(), outside));
-      for (double& x : cleaned) x = std::clamp(x, fence_lo, fence_hi);
+      std::vector<double> kept;
+      kept.reserve(use.size());
+      std::copy_if(use.begin(), use.end(), std::back_inserter(kept),
+                   [&](double x) { return !outside(x); });
+      clipped = use.size() - kept.size();
+      cleaned = std::move(kept);
       obs::counter("robust.samples.outlier_clipped").add(clipped);
       use = cleaned;
     }

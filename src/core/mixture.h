@@ -8,7 +8,7 @@
 // paper Eq. 4, and LVF^k the Section 3.3 extension) or the normal,
 // carried as the alpha == 0 member of the same family (Norm^2, paper
 // ref. [10]). All three are fitted by one EM driver (paper Section
-// 3.2): sample validation and winsorizing, k-means / width-split /
+// 3.2): sample validation and outlier dropping, k-means / width-split /
 // tail-split starts with a staged burst, the warm-started Nelder-Mead
 // M-step (closed form for the normal family), canonical component
 // order, moment pinning, a single-component likelihood guard and the
@@ -47,7 +47,7 @@ class Mixture : public TimingModel {
   static Mixture normalized(ModelKind kind, std::vector<Component> components);
 
   /// EM fit of `k` components of the family `kind` names. Non-finite
-  /// samples are dropped and absurd outliers winsorized first; if EM
+  /// samples and absurd outliers are dropped first; if EM
   /// cannot hold a mixture the fit falls back to a single component
   /// (weight 1, the other K - 1 slots weight 0: paper Eq. 10 for
   /// K = 2), then to a moment-matched point mass for constant data.

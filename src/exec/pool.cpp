@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <deque>
+#include <optional>
+#include <string>
 
 #include "obs/json.h"
 #include "obs/manifest.h"
@@ -35,35 +36,6 @@ std::size_t default_thread_count() {
   return hw;
 }
 
-/// Per-slot telemetry accumulators. Written by the owning thread only
-/// (relaxed stores suffice; readers snapshot). Lives in a leaked
-/// registry so the manifest `exec` section can read it at process
-/// exit, after the pool singleton (a function-local static) has
-/// already joined its workers and died.
-struct WorkerStatsSlot {
-  std::atomic<std::uint64_t> chunks{0};
-  std::atomic<std::uint64_t> indices{0};
-  std::atomic<double> busy_us{0.0};
-};
-
-struct ExecStatsRegistry {
-  std::mutex mutex;
-  // deque: grows without relocating (slots hold atomics and are
-  // written concurrently with growth for other slots).
-  std::deque<WorkerStatsSlot> slots;
-
-  static ExecStatsRegistry& instance() {
-    static auto* registry = new ExecStatsRegistry();  // leaked
-    return *registry;
-  }
-
-  WorkerStatsSlot& slot(std::size_t index) {
-    std::lock_guard<std::mutex> lock(mutex);
-    while (slots.size() <= index) slots.emplace_back();
-    return slots[index];
-  }
-};
-
 /// Rendered `exec` manifest section: process-lifetime job counters
 /// plus the per-slot utilization table when telemetry recorded work.
 std::string exec_section_json() {
@@ -81,15 +53,35 @@ std::string exec_section_json() {
   out += ",\"telemetry\":";
   out += telemetry_enabled() ? "true" : "false";
   out += ",\"per_worker\":[";
-  const std::vector<WorkerTelemetry> slots = telemetry_snapshot();
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (i > 0) out += ',';
+  std::vector<std::string> slots;
+  for (const obs::Labels& labels :
+       obs::MetricsRegistry::instance().family_series("exec.worker.chunks")) {
+    slots.push_back(labels.at(0).second);
+  }
+  // The caller first, then the workers in creation order.
+  const auto rank = [](const std::string& slot) {
+    return slot == "caller" ? 0ul : std::stoul(slot);
+  };
+  std::sort(slots.begin(), slots.end(),
+            [&](const std::string& a, const std::string& b) {
+              return rank(a) < rank(b);
+            });
+  const char* separator = "";
+  for (const std::string& slot : slots) {
+    const auto series = [&](std::string_view family) {
+      return obs::series_name(family, {{"slot", slot}});
+    };
+    out += separator;
+    separator = ",";
     out += "{\"slot\":";
-    out += (i == 0) ? std::string("\"caller\"") : std::to_string(i);
-    out += ",\"chunks\":" + std::to_string(slots[i].chunks);
-    out += ",\"indices\":" + std::to_string(slots[i].indices);
+    out += slot == "caller" ? "\"caller\"" : slot;
+    out += ",\"chunks\":" +
+           std::to_string(obs::counter(series("exec.worker.chunks")).value());
+    out += ",\"indices\":" +
+           std::to_string(obs::counter(series("exec.worker.indices")).value());
     out += ",\"busy_ms\":";
-    obs::json_append_number(out, slots[i].busy_us * 1e-3);
+    obs::json_append_number(
+        out, obs::double_counter(series("exec.worker.busy_us")).value() * 1e-3);
     out += '}';
   }
   out += "]}";
@@ -124,21 +116,6 @@ obs::Histogram& job_wall_histogram() {
 
 void set_telemetry(bool enabled) {
   detail::g_telemetry_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-std::vector<WorkerTelemetry> telemetry_snapshot() {
-  ExecStatsRegistry& registry = ExecStatsRegistry::instance();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  std::vector<WorkerTelemetry> out;
-  out.reserve(registry.slots.size());
-  for (const WorkerStatsSlot& slot : registry.slots) {
-    WorkerTelemetry t;
-    t.chunks = slot.chunks.load(std::memory_order_relaxed);
-    t.indices = slot.indices.load(std::memory_order_relaxed);
-    t.busy_us = slot.busy_us.load(std::memory_order_relaxed);
-    out.push_back(t);
-  }
-  return out;
 }
 
 std::size_t parse_thread_count(const char* text, std::size_t fallback) {
@@ -184,23 +161,32 @@ Pool& Pool::instance() {
   return pool;
 }
 
+struct Pool::SlotSeries {
+  explicit SlotSeries(const std::string& slot)
+      : chunks(obs::counter(
+            obs::series_name("exec.worker.chunks", {{"slot", slot}}))),
+        indices(obs::counter(
+            obs::series_name("exec.worker.indices", {{"slot", slot}}))),
+        busy_us(obs::double_counter(
+            obs::series_name("exec.worker.busy_us", {{"slot", slot}}))) {}
+
+  obs::Counter& chunks;
+  obs::Counter& indices;
+  obs::DoubleCounter& busy_us;
+};
+
 void Pool::ensure_workers(std::size_t workers) {
   std::lock_guard<std::mutex> lock(mutex_);
   while (threads_.size() < workers) {
-    // Slot 0 is the fork-join caller; workers start at 1.
+    // The fork-join caller is slot "caller"; workers count from 1.
     const std::size_t slot_index = threads_.size() + 1;
     threads_.emplace_back([this, slot_index] { worker_loop(slot_index); });
   }
 }
 
-void Pool::work_on(Job& job, std::size_t telemetry_slot) {
+void Pool::work_on(Job& job, SlotSeries* series) {
   RegionGuard region;
-  // One relaxed load per job, not per chunk: a mid-job toggle is a
-  // test scenario, not one worth a hot-loop branch miss.
-  const bool telemetry = telemetry_enabled();
-  WorkerStatsSlot* stats =
-      telemetry ? &ExecStatsRegistry::instance().slot(telemetry_slot)
-                : nullptr;
+  const bool telemetry = series != nullptr;
   static obs::Counter& chunk_counter = obs::counter("exec.pool.chunks");
   for (;;) {
     const std::size_t begin =
@@ -224,19 +210,20 @@ void Pool::work_on(Job& job, std::size_t telemetry_slot) {
           std::chrono::duration<double, std::micro>(
               std::chrono::steady_clock::now() - chunk_start)
               .count();
-      stats->chunks.fetch_add(1, std::memory_order_relaxed);
-      stats->indices.fetch_add(end - begin, std::memory_order_relaxed);
-      obs::detail::atomic_add(stats->busy_us, chunk_us);
+      series->chunks.add(1);
+      series->indices.add(end - begin);
+      series->busy_us.add(chunk_us);
       chunk_counter.add(1);
       chunk_latency_histogram().observe(chunk_us);
     }
   }
 }
 
-void Pool::worker_loop(std::size_t telemetry_slot) {
+void Pool::worker_loop(std::size_t slot) {
   // Sampled by the wall-clock profiler for the worker's lifetime
   // (inert while LVF2_PROFILE is off).
   obs::prof::ThreadRegistration profiler_registration;
+  std::optional<SlotSeries> series;  // resolved by the first telemetry job
   std::uint64_t seen = 0;
   for (;;) {
     Job* job = nullptr;
@@ -252,7 +239,11 @@ void Pool::worker_loop(std::size_t telemetry_slot) {
     // requested parallelism even when the pool holds more workers.
     if (job->entered.fetch_add(1, std::memory_order_relaxed) <
         job->worker_limit) {
-      work_on(*job, telemetry_slot);
+      // One relaxed load per job, not per chunk: a mid-job toggle is
+      // a test scenario, not one worth a hot-loop branch miss.
+      const bool telemetry = telemetry_enabled();
+      if (telemetry && !series) series.emplace(std::to_string(slot));
+      work_on(*job, telemetry ? &*series : nullptr);
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -299,7 +290,13 @@ void Pool::run(std::size_t n, std::size_t chunk, std::size_t parallelism,
     posted_to = threads_.size();
   }
   work_cv_.notify_all();
-  work_on(job, 0);  // the caller is one of the `parallelism` threads
+  // The caller is one of the `parallelism` threads.
+  SlotSeries* caller = nullptr;
+  if (telemetry) {
+    static SlotSeries caller_series("caller");
+    caller = &caller_series;
+  }
+  work_on(job, caller);
   {
     // Every posted worker must check the job out (even if only to
     // decline it) before the stack-allocated Job can die.

@@ -69,20 +69,11 @@ inline bool telemetry_enabled() {
 /// across off/on transitions.
 void set_telemetry(bool enabled);
 
-/// Snapshot of one execution slot's lifetime telemetry. Slot 0 is the
-/// calling thread of each fork-join job (callers serialize, so one
-/// slot suffices); slots 1..N are pool workers in creation order.
-struct WorkerTelemetry {
-  std::uint64_t chunks = 0;   ///< chunk claims that ran work
-  std::uint64_t indices = 0;  ///< loop indices executed
-  double busy_us = 0.0;       ///< wall time inside chunk bodies
-};
-
-/// Snapshot of every slot that ever recorded work (empty when
-/// telemetry never ran). Thread-safe; readable at any time, including
-/// from the manifest `exec` section provider at process exit (the
-/// storage is leaked, deliberately outliving the pool singleton).
-std::vector<WorkerTelemetry> telemetry_snapshot();
+/// Per-slot telemetry lives in the metrics registry as the series
+/// exec.worker.{chunks,indices,busy_us}{slot=...}: slot "caller" is
+/// the calling thread of each fork-join job (callers serialize, so one
+/// slot suffices), slots "1".."N" are pool workers in creation order.
+/// A slot's series exist once it ran a job with telemetry on.
 
 /// Fixed-size fork-join worker pool. One job at a time; workers claim
 /// index chunks from a shared atomic cursor (dynamic scheduling — no
@@ -129,10 +120,14 @@ class Pool {
     std::size_t done = 0;  ///< workers finished with the job (mutex_)
   };
 
-  /// `telemetry_slot` indexes the leaked per-slot stats registry:
-  /// 0 = fork-join caller, 1..N = workers in creation order.
-  void worker_loop(std::size_t telemetry_slot);
-  static void work_on(Job& job, std::size_t telemetry_slot);
+  /// A slot's telemetry series, resolved once per slot.
+  struct SlotSeries;
+
+  /// `slot` names the worker's telemetry series: 1..N in creation
+  /// order (the fork-join caller is slot "caller").
+  void worker_loop(std::size_t slot);
+  /// `series` is null when telemetry is off for this job.
+  static void work_on(Job& job, SlotSeries* series);
 
   std::mutex run_mutex_;  ///< serializes top-level run() calls
 

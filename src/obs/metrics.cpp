@@ -82,6 +82,70 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   return out;
 }
 
+std::string series_name(
+    std::string_view family,
+    std::initializer_list<std::pair<std::string_view, std::string_view>>
+        labels) {
+  std::string out(family);
+  if (labels.size() == 0) return out;
+  char sep = '{';
+  for (const auto& [key, value] : labels) {
+    out += sep;
+    sep = ',';
+    out += key;
+    out += "=\"";
+    for (char c : value) {
+      if (c == '\\' || c == '"') {
+        out += '\\';
+        out += c;
+      } else if (c == '\n') {
+        out += "\\n";
+      } else {
+        out += c;
+      }
+    }
+    out += '"';
+  }
+  out += '}';
+  return out;
+}
+
+namespace {
+
+// Splits a registry name into its family and its label block ("" or
+// "{...}"): family names never contain '{'.
+std::pair<std::string_view, std::string_view> split_series(
+    std::string_view name) {
+  const std::size_t brace = name.find('{');
+  if (brace == std::string_view::npos) return {name, {}};
+  return {name.substr(0, brace), name.substr(brace)};
+}
+
+// Parses a series_name() label block back into its (key, value) pairs.
+Labels parse_labels(std::string_view block) {
+  Labels out;
+  std::size_t i = 1;  // past '{'
+  while (i < block.size() && block[i] != '}') {
+    const std::size_t eq = block.find('=', i);
+    if (eq == std::string_view::npos) break;
+    std::string key(block.substr(i, eq - i));
+    std::string value;
+    for (i = eq + 2; i < block.size() && block[i] != '"'; ++i) {
+      if (block[i] == '\\' && i + 1 < block.size()) {
+        ++i;
+        value += block[i] == 'n' ? '\n' : block[i];
+      } else {
+        value += block[i];
+      }
+    }
+    out.emplace_back(std::move(key), std::move(value));
+    i += 2;  // past the closing quote and the ',' or '}'
+  }
+  return out;
+}
+
+}  // namespace
+
 MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry* registry = new MetricsRegistry();  // leaked
   return *registry;
@@ -131,6 +195,29 @@ Digest& MetricsRegistry::digest(std::string_view name, double compression) {
     it = digests_.try_emplace(std::string(name), compression).first;
   }
   return it->second;
+}
+
+std::vector<Labels> MetricsRegistry::family_series(
+    std::string_view family) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::map<std::string_view, Labels> found;
+  const auto scan = [&](const auto& instruments) {
+    for (const auto& entry : instruments) {
+      const auto [name, block] = split_series(entry.first);
+      if (name == family && !block.empty()) {
+        found.try_emplace(entry.first, parse_labels(block));
+      }
+    }
+  };
+  scan(counters_);
+  scan(double_counters_);
+  scan(gauges_);
+  scan(histograms_);
+  scan(digests_);
+  std::vector<Labels> out;
+  out.reserve(found.size());
+  for (auto& [name, labels] : found) out.push_back(std::move(labels));
+  return out;
 }
 
 std::string MetricsRegistry::to_json() const {
@@ -231,109 +318,115 @@ std::string prom_name(std::string_view prefix, std::string_view name) {
   return out;
 }
 
-void prom_number(std::string& out, double v) {
-  if (std::isnan(v)) {
-    out += "NaN";
-    return;
-  }
-  if (std::isinf(v)) {
-    out += v > 0 ? "+Inf" : "-Inf";
-    return;
-  }
+std::string prom_number(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
+  return buf;
 }
 
-void prom_header(std::string& out, const std::string& name,
-                 const char* type) {
-  out += "# TYPE ";
-  out += name;
-  out += ' ';
-  out += type;
-  out += '\n';
-}
+// One exposition family: its type and its sample lines, emitted under
+// a single # TYPE line however many series feed it.
+struct PromFamily {
+  const char* type = nullptr;
+  std::string samples;
+};
+
+// Where one registry series writes: its family, its exposition metric
+// name and its own label block ("" or "{...}").
+struct PromSeries {
+  PromFamily& family;
+  std::string metric;
+  std::string_view block;
+
+  // Appends `<metric><suffix>{labels,extra} value`; `extra` is one more
+  // `key="value"` pair merged into the series' label block.
+  void sample(std::string_view suffix, std::string_view extra,
+              const std::string& value) const {
+    std::string& out = family.samples;
+    out += metric;
+    out += suffix;
+    if (extra.empty()) {
+      out += block;
+    } else if (block.empty()) {
+      out += '{';
+      out += extra;
+      out += '}';
+    } else {
+      out += block.substr(0, block.size() - 1);
+      out += ',';
+      out += extra;
+      out += '}';
+    }
+    out += ' ';
+    out += value;
+    out += '\n';
+  }
+};
 
 }  // namespace
 
 std::string MetricsRegistry::to_prometheus(std::string_view prefix) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string out;
+  std::map<std::string, PromFamily> families;
+  const auto series = [&](std::string_view name, std::string_view suffix,
+                          const char* type) {
+    const auto [base, block] = split_series(name);
+    std::string metric = prom_name(prefix, base);
+    PromFamily& family = families[metric + std::string(suffix)];
+    if (family.type == nullptr) family.type = type;
+    return PromSeries{family, std::move(metric), block};
+  };
   for (const auto& [name, c] : counters_) {
-    const std::string m = prom_name(prefix, name) + "_total";
-    prom_header(out, m, "counter");
-    out += m;
-    out += ' ';
-    out += std::to_string(c.value());
-    out += '\n';
+    series(name, "_total", "counter")
+        .sample("_total", {}, std::to_string(c.value()));
   }
   for (const auto& [name, c] : double_counters_) {
-    const std::string m = prom_name(prefix, name) + "_total";
-    prom_header(out, m, "counter");
-    out += m;
-    out += ' ';
-    prom_number(out, c.value());
-    out += '\n';
+    series(name, "_total", "counter")
+        .sample("_total", {}, prom_number(c.value()));
   }
   for (const auto& [name, g] : gauges_) {
-    const std::string m = prom_name(prefix, name);
-    prom_header(out, m, "gauge");
-    out += m;
-    out += ' ';
-    prom_number(out, g.value());
-    out += '\n';
+    series(name, "", "gauge").sample("", {}, prom_number(g.value()));
   }
   for (const auto& [name, h] : histograms_) {
-    const std::string m = prom_name(prefix, name);
-    prom_header(out, m, "histogram");
+    const PromSeries s = series(name, "", "histogram");
     const auto& bounds = h.bounds();
     const auto counts = h.bucket_counts();
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < counts.size(); ++i) {
       cumulative += counts[i];
-      out += m;
-      out += "_bucket{le=\"";
-      if (i < bounds.size()) {
-        prom_number(out, bounds[i]);
-      } else {
-        out += "+Inf";
-      }
-      out += "\"} ";
-      out += std::to_string(cumulative);
-      out += '\n';
+      s.sample("_bucket",
+               "le=\"" +
+                   (i < bounds.size() ? prom_number(bounds[i]) : "+Inf") +
+                   '"',
+               std::to_string(cumulative));
     }
-    out += m;
-    out += "_sum ";
-    prom_number(out, h.sum());
-    out += '\n';
-    out += m;
-    out += "_count ";
-    out += std::to_string(h.count());
-    out += '\n';
+    s.sample("_sum", {}, prom_number(h.sum()));
+    s.sample("_count", {}, std::to_string(h.count()));
   }
   for (const auto& [name, d] : digests_) {
-    const std::string m = prom_name(prefix, name);
-    prom_header(out, m, "summary");
+    const PromSeries s = series(name, "", "summary");
     const TDigest snap = d.snapshot();
-    static constexpr const char* kLabels[] = {"0.5", "0.9", "0.95", "0.99",
-                                              "0.999"};
-    static constexpr double kQs[] = {0.50, 0.90, 0.95, 0.99, 0.999};
-    for (std::size_t i = 0; i < 5; ++i) {
-      out += m;
-      out += "{quantile=\"";
-      out += kLabels[i];
-      out += "\"} ";
-      prom_number(out, snap.quantile(kQs[i]));
-      out += '\n';
+    static constexpr std::pair<const char*, double> kQuantiles[] = {
+        {"quantile=\"0.5\"", 0.50},  {"quantile=\"0.9\"", 0.90},
+        {"quantile=\"0.95\"", 0.95}, {"quantile=\"0.99\"", 0.99},
+        {"quantile=\"0.999\"", 0.999}};
+    for (const auto& [label, q] : kQuantiles) {
+      s.sample("", label, prom_number(snap.quantile(q)));
     }
-    out += m;
-    out += "_sum ";
-    prom_number(out, snap.sum());
+    s.sample("_sum", {}, prom_number(snap.sum()));
+    s.sample("_count", {},
+             std::to_string(static_cast<std::uint64_t>(snap.count())));
+  }
+  std::string out;
+  for (const auto& [name, family] : families) {
+    out += "# TYPE ";
+    out += name;
+    out += ' ';
+    out += family.type;
     out += '\n';
-    out += m;
-    out += "_count ";
-    out += std::to_string(static_cast<std::uint64_t>(snap.count()));
-    out += '\n';
+    out += family.samples;
   }
   return out;
 }

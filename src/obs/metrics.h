@@ -7,6 +7,14 @@
 // instrument's own mutex (an uncontended lock + a buffered push,
 // still nanoseconds); only name lookup takes the registry mutex.
 //
+// Labeled series: an instrument whose name is
+// `family{key="value",...}` (build it with series_name()) is one series
+// of `family`. Exports treat it as such — to_prometheus() declares the
+// family once and merges the label block with its own quantile/le
+// labels, to_json() keys the series by its full name — and
+// family_series() enumerates a family's label sets. Resolve a series
+// once and keep the reference: the name is built from strings.
+//
 // Sinks, both driven by environment variables read at startup:
 //   LVF2_METRICS=<path>     JSON dump at process exit
 //   LVF2_METRICS_SUMMARY=1  plain-text summary to stderr at exit
@@ -16,10 +24,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/tdigest.h"
@@ -70,6 +80,8 @@ class DoubleCounter {
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
+  /// Relative move (a live level such as requests in flight).
+  void add(double delta) { detail::atomic_add(value_, delta); }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -124,6 +136,18 @@ class Digest {
   TDigest digest_;
 };
 
+/// A series' label set, in declaration order: (key, value) pairs.
+using Labels = std::vector<std::pair<std::string, std::string>>;
+
+/// The registry name of `family`'s series with `labels`:
+/// `family{key="value",...}`, values escaped the Prometheus way
+/// (backslash, double quote, newline). Keys must be Prometheus label
+/// names ([a-zA-Z_][a-zA-Z0-9_]*). No labels gives plain `family`.
+std::string series_name(
+    std::string_view family,
+    std::initializer_list<std::pair<std::string_view, std::string_view>>
+        labels);
+
 /// The process-wide registry (leaked singleton, never destroyed).
 class MetricsRegistry {
  public:
@@ -139,6 +163,10 @@ class MetricsRegistry {
   /// return the existing digest regardless of `compression`.
   Digest& digest(std::string_view name, double compression = 100.0);
 
+  /// Label sets of every labeled series of `family` (any instrument
+  /// kind), ordered by series name.
+  std::vector<Labels> family_series(std::string_view family) const;
+
   /// Full registry state as a JSON object
   /// {"counters":{...},"gauges":{...},"histograms":{...},
   ///  "digests":{...}} (each digest carries its serialized centroid
@@ -148,7 +176,9 @@ class MetricsRegistry {
   /// `<prefix><name>_total`, gauges plain, histograms as cumulative
   /// `_bucket{le=...}` + `_sum`/`_count`, digests as
   /// `{quantile=...}` summaries + `_sum`/`_count`. Metric names are
-  /// the registry names with non-[a-zA-Z0-9_] flattened to '_'.
+  /// the registry family names with non-[a-zA-Z0-9_] flattened to
+  /// '_'. Each family gets one `# TYPE` line with all its series
+  /// contiguous below it.
   std::string to_prometheus(std::string_view prefix = "lvf2_") const;
   /// Writes to_json() to `path` (best-effort; logs to stderr on
   /// failure).

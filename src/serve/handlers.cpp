@@ -1,7 +1,9 @@
 #include "serve/handlers.h"
 
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -13,7 +15,6 @@
 #include "core/lvf2_model.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "serve/telemetry.h"
 #include "spice/montecarlo.h"
 #include "ssta/block_ssta.h"
 #include "stats/grid_pdf.h"
@@ -197,7 +198,8 @@ EntryView acquire_entry(HandlerContext& ctx, const ArcRef& ref,
   const char* hit_tag = mode == ExecMode::kFull ? "none" : "cached";
   if (auto cached = lookup_cached_entry(ctx, key, hit_tag)) {
     if (mode != ExecMode::kFull) {
-      obs::counter("serve.degraded.cached").add(1);
+      static obs::Counter& degraded = obs::counter("serve.degraded.cached");
+      degraded.add(1);
     }
     return std::move(*cached);
   }
@@ -522,41 +524,139 @@ HandlerResult op_yield_hs(HandlerContext& ctx, const ArcRef& ref,
 }
 
 HandlerResult op_stats(const HandlerContext& ctx) {
+  struct Field {
+    const char* key;
+    obs::Counter& counter;
+  };
+  static const Field kFields[] = {
+      {"accepted", obs::counter("serve.accepted")},
+      {"completed", obs::counter("serve.completed")},
+      {"rejected", obs::counter("serve.rejected")},
+      {"shed_overload", obs::counter("serve.shed.overload")},
+      {"shed_deadline", obs::counter("serve.shed.deadline")},
+      {"shed_drain", obs::counter("serve.shed.drain")},
+      {"lru_hit", obs::counter("serve.lru.hit")},
+      {"lru_miss", obs::counter("serve.lru.miss")},
+      {"cache_hit", obs::counter("cache.hit")},
+      {"cache_miss", obs::counter("cache.miss")}};
   HandlerResult out;
   out.result = json_object();
-  const auto add = [&](const char* name, const char* counter) {
+  for (const Field& field : kFields) {
     out.result.object.emplace_back(
-        name,
-        json_number(static_cast<double>(obs::counter(counter).value())));
-  };
-  add("accepted", "serve.accepted");
-  add("completed", "serve.completed");
-  add("rejected", "serve.rejected");
-  add("shed_overload", "serve.shed.overload");
-  add("shed_deadline", "serve.shed.deadline");
-  add("shed_drain", "serve.shed.drain");
-  add("lru_hit", "serve.lru.hit");
-  add("lru_miss", "serve.lru.miss");
-  add("cache_hit", "cache.hit");
-  add("cache_miss", "cache.miss");
+        field.key, json_number(static_cast<double>(field.counter.value())));
+  }
   out.result.object.emplace_back(
       "lru_size", json_number(static_cast<double>(ctx.lru.size())));
   return out;
 }
 
-// The `metrics` op: the live telemetry snapshot (per-op counts, rung
-// mix, rolling rates, deadline compliance, queue/exec quantiles, the
-// whole metrics registry) as JSON, or the Prometheus text exposition
-// wrapped in {"format":"prometheus","text":...} when
-// params.format == "prometheus".
+// --- per-op serving metrics (handlers.h) -----------------------------
+
+const auto g_process_start = std::chrono::steady_clock::now();
+
+constexpr std::string_view kKnownOps[] = {
+    "ping",   "stats",  "metrics",  "arc_dist",
+    "bin",    "yield3", "yield_hs", "path_ssta"};
+constexpr std::string_view kRungs[] = {"none", "cached", "single_sn",
+                                       "point_mass"};
+
+std::size_t rung_index(std::string_view degradation) {
+  for (std::size_t i = 1; i < std::size(kRungs); ++i) {
+    if (degradation == kRungs[i]) return i;
+  }
+  return 0;  // "none"
+}
+
+std::string op_series_name(std::string_view family, std::string_view op) {
+  return obs::series_name(family, {{"op", op}});
+}
+
+std::string rung_series_name(std::string_view op, std::string_view rung) {
+  return obs::series_name("serve.op.degraded", {{"op", op}, {"rung", rung}});
+}
+
+// One op's series, resolved once.
+struct OpSeries {
+  explicit OpSeries(std::string_view op)
+      : requests(obs::counter(op_series_name("serve.op.requests", op))),
+        responded(obs::counter(op_series_name("serve.op.responded", op))),
+        ok(obs::counter(op_series_name("serve.op.ok", op))),
+        failed(obs::counter(op_series_name("serve.op.failed", op))),
+        deadline(obs::counter(op_series_name("serve.op.deadline", op))),
+        deadline_met(
+            obs::counter(op_series_name("serve.op.deadline_met", op))),
+        queue_ms(obs::digest(op_series_name("serve.op.queue_ms", op), 64.0)),
+        exec_ms(obs::digest(op_series_name("serve.op.exec_ms", op), 64.0)) {
+    for (std::size_t i = 0; i < rungs.size(); ++i) {
+      rungs[i] = &obs::counter(rung_series_name(op, kRungs[i]));
+    }
+  }
+
+  obs::Counter& requests;
+  obs::Counter& responded;
+  obs::Counter& ok;
+  obs::Counter& failed;
+  obs::Counter& deadline;
+  obs::Counter& deadline_met;
+  obs::Digest& queue_ms;
+  obs::Digest& exec_ms;
+  std::array<obs::Counter*, std::size(kRungs)> rungs{};
+};
+
+// The fixed op table: kKnownOps in order, then "other".
+OpSeries& series_of(std::string_view op) {
+  static std::vector<OpSeries> table = [] {
+    std::vector<OpSeries> t;
+    t.reserve(std::size(kKnownOps) + 1);
+    for (const std::string_view known : kKnownOps) t.emplace_back(known);
+    t.emplace_back("other");
+    return t;
+  }();
+  std::size_t i = 0;
+  while (i < std::size(kKnownOps) && kKnownOps[i] != op) ++i;
+  return table[i];
+}
+
+// Seconds since process start, also published as a gauge for the
+// Prometheus scrape.
+double refresh_uptime_s() {
+  static obs::Gauge& uptime = obs::gauge("serve.uptime_seconds");
+  uptime.set(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           g_process_start)
+                 .count());
+  return uptime.value();
+}
+
+double ratio(double num, double den) { return den == 0.0 ? 1.0 : num / den; }
+
+double quantile_or_zero(const obs::TDigest& d, double q) {
+  return d.count() > 0.0 ? d.quantile(q) : 0.0;
+}
+
+obs::JsonValue quantiles_json(const obs::Digest& digest) {
+  const obs::TDigest snap = digest.snapshot();
+  obs::JsonValue out = json_object();
+  out.object.emplace_back("count", json_number(snap.count()));
+  out.object.emplace_back("p50", json_number(quantile_or_zero(snap, 0.5)));
+  out.object.emplace_back("p95", json_number(quantile_or_zero(snap, 0.95)));
+  out.object.emplace_back("p99", json_number(quantile_or_zero(snap, 0.99)));
+  return out;
+}
+
+// The `metrics` op: serve_metrics_json() plus the whole metrics
+// registry as JSON, or the Prometheus text exposition wrapped in
+// {"format":"prometheus","text":...} when params.format ==
+// "prometheus".
 HandlerResult op_metrics(const obs::JsonValue& params) {
   const std::string format = params.string_or("format", "json");
   HandlerResult out;
   if (format == "prometheus") {
+    refresh_uptime_s();
     out.result = json_object();
     out.result.object.emplace_back("format", json_string("prometheus"));
     out.result.object.emplace_back(
-        "text", json_string(ServeTelemetry::instance().prometheus()));
+        "text",
+        json_string(obs::MetricsRegistry::instance().to_prometheus()));
     return out;
   }
   if (format != "json") {
@@ -566,7 +666,13 @@ HandlerResult op_metrics(const obs::JsonValue& params) {
         "none",
         {}};
   }
-  out.result = ServeTelemetry::instance().snapshot_json();
+  out.result = serve_metrics_json();
+  // The whole registry rides along (counters, gauges, histograms,
+  // digests), so one op answers everything an operator can ask.
+  if (auto registry =
+          obs::json_parse(obs::MetricsRegistry::instance().to_json())) {
+    out.result.object.emplace_back("registry", std::move(*registry));
+  }
   return out;
 }
 
@@ -608,7 +714,8 @@ HandlerResult handle_request(HandlerContext& ctx, const Request& request,
     // The fallback runs with the deadline suspended — it is bounded-
     // cost by construction and must not be cancelled half way into
     // rendering the answer.
-    obs::counter("serve.shed.deadline").add(1);
+    static obs::Counter& shed_deadline = obs::counter("serve.shed.deadline");
+    shed_deadline.add(1);
     core::DeadlineSuspend suspend;
     try {
       return dispatch(ctx, request, ExecMode::kShedFloor);
@@ -616,11 +723,112 @@ HandlerResult handle_request(HandlerContext& ctx, const Request& request,
       return HandlerResult{core::status_from_exception(e), "none", {}};
     }
   } catch (const std::exception& e) {
-    obs::counter("serve.handler_error").add(1);
+    static obs::Counter& handler_error = obs::counter("serve.handler_error");
+    handler_error.add(1);
     obs::log_warn("serve.handler_failed",
                   {{"op", request.op}, {"error", e.what()}});
     return HandlerResult{core::status_from_exception(e), "none", {}};
   }
+}
+
+void record_request(std::string_view op) { series_of(op).requests.add(1); }
+
+void record_response(std::string_view op, bool ok,
+                     std::string_view degradation, double queue_ms,
+                     double exec_ms, double budget_ms) {
+  OpSeries& series = series_of(op);
+  series.responded.add(1);
+  if (ok) {
+    series.ok.add(1);
+    series.rungs[rung_index(degradation)]->add(1);
+  } else {
+    series.failed.add(1);
+  }
+  series.queue_ms.observe(queue_ms);
+  series.exec_ms.observe(exec_ms);
+  static obs::Digest& global_queue = obs::digest("serve.queue_ms");
+  static obs::Digest& global_exec = obs::digest("serve.exec_ms");
+  global_queue.observe(queue_ms);
+  global_exec.observe(exec_ms);
+  if (budget_ms > 0.0) {
+    series.deadline.add(1);
+    if (ok && queue_ms + exec_ms <= budget_ms) series.deadline_met.add(1);
+    // Deadline-bounded population only: these are the digests the SLO
+    // gate holds against the configured budget.
+    static obs::Digest& deadline_queue =
+        obs::digest("serve.deadline.queue_ms");
+    static obs::Digest& deadline_exec = obs::digest("serve.deadline.exec_ms");
+    deadline_queue.observe(queue_ms);
+    deadline_exec.observe(exec_ms);
+  }
+}
+
+obs::JsonValue serve_metrics_json() {
+  const auto count = [](const std::string& name) {
+    return static_cast<double>(obs::counter(name).value());
+  };
+  obs::JsonValue out = json_object();
+  out.object.emplace_back("uptime_s", json_number(refresh_uptime_s()));
+  for (const char* key : {"queue_depth", "inflight", "deadline_budget_ms"}) {
+    out.object.emplace_back(
+        key, json_number(obs::gauge(std::string("serve.") + key).value()));
+  }
+
+  obs::JsonValue ops = json_object();
+  double deadline_total = 0.0;
+  double deadline_met = 0.0;
+  for (const obs::Labels& labels :
+       obs::MetricsRegistry::instance().family_series("serve.op.requests")) {
+    const std::string& op = labels.at(0).second;
+    const auto op_count = [&](std::string_view family) {
+      return count(op_series_name(family, op));
+    };
+    obs::JsonValue row = json_object();
+    for (const char* key : {"requests", "responded", "ok", "failed"}) {
+      row.object.emplace_back(
+          key, json_number(op_count(std::string("serve.op.") + key)));
+    }
+    obs::JsonValue rungs = json_object();
+    for (const std::string_view rung : kRungs) {
+      rungs.object.emplace_back(std::string(rung),
+                                json_number(count(rung_series_name(op, rung))));
+    }
+    row.object.emplace_back("degradation", std::move(rungs));
+    const double total = op_count("serve.op.deadline");
+    const double met = op_count("serve.op.deadline_met");
+    deadline_total += total;
+    deadline_met += met;
+    obs::JsonValue deadline = json_object();
+    deadline.object.emplace_back("total", json_number(total));
+    deadline.object.emplace_back("met", json_number(met));
+    deadline.object.emplace_back("compliance", json_number(ratio(met, total)));
+    row.object.emplace_back("deadline", std::move(deadline));
+    for (const char* key : {"queue_ms", "exec_ms"}) {
+      row.object.emplace_back(
+          key, quantiles_json(obs::digest(
+                   op_series_name(std::string("serve.op.") + key, op), 64.0)));
+    }
+    ops.object.emplace_back(op, std::move(row));
+  }
+
+  // Deadline-bounded population across ops: what the --serve gate
+  // holds against the configured budget.
+  obs::JsonValue deadline = json_object();
+  deadline.object.emplace_back("total", json_number(deadline_total));
+  deadline.object.emplace_back("met", json_number(deadline_met));
+  deadline.object.emplace_back(
+      "compliance", json_number(ratio(deadline_met, deadline_total)));
+  deadline.object.emplace_back(
+      "queue_p99_ms",
+      json_number(quantile_or_zero(
+          obs::digest("serve.deadline.queue_ms").snapshot(), 0.99)));
+  deadline.object.emplace_back(
+      "exec_p99_ms",
+      json_number(quantile_or_zero(
+          obs::digest("serve.deadline.exec_ms").snapshot(), 0.99)));
+  out.object.emplace_back("deadline", std::move(deadline));
+  out.object.emplace_back("ops", std::move(ops));
+  return out;
 }
 
 }  // namespace lvf2::serve

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "cells/characterize.h"
@@ -74,5 +75,36 @@ struct HandlerResult {
 /// (README "Serving" documents params and results).
 HandlerResult handle_request(HandlerContext& ctx, const Request& request,
                              ExecMode mode);
+
+// Per-op serving metrics, kept in the metrics registry as labeled
+// series (obs/metrics.h) so the `metrics` op, the Prometheus scrape
+// and the manifest all read one source:
+//   counters serve.op.{requests,responded,ok,failed,deadline,
+//            deadline_met}{op=...} and serve.op.degraded{op=...,rung=...}
+//   digests  serve.op.{queue_ms,exec_ms}{op=...} (compression 64)
+//   gauges   serve.{inflight,queue_depth,deadline_budget_ms,
+//            uptime_seconds}
+// The eight known ops plus "other" (everything else, so a hostile
+// client cannot grow the registry) resolve their series once; recording
+// is then relaxed atomic adds and two digest observations.
+
+/// Counts a parsed request (reader thread, before admission).
+void record_request(std::string_view op);
+
+/// Counts an answered request (after its response was written).
+/// `budget_ms` <= 0 means the request ran without a deadline; it met
+/// its deadline when ok and queue_ms + exec_ms fit the budget.
+void record_response(std::string_view op, bool ok,
+                     std::string_view degradation, double queue_ms,
+                     double exec_ms, double budget_ms);
+
+/// The serving metrics snapshot, read from the registry: uptime_s,
+/// queue_depth, inflight, deadline_budget_ms, the deadline block
+/// {total,met,compliance,queue_p99_ms,exec_p99_ms} and one row per op
+/// {requests,responded,ok,failed,degradation.{none,cached,single_sn,
+/// point_mass},deadline.{total,met,compliance},queue_ms.{count,p50,
+/// p95,p99},exec_ms.{...}}. The `metrics` op answers it (plus the full
+/// registry); the manifest "serve_telemetry" section is it.
+obs::JsonValue serve_metrics_json();
 
 }  // namespace lvf2::serve

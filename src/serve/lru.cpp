@@ -7,18 +7,22 @@ namespace lvf2::serve {
 HotLru::HotLru(std::size_t capacity) : capacity_(capacity) {}
 
 std::optional<std::string> HotLru::get(std::uint64_t key) {
+  static obs::Counter& misses = obs::counter("serve.lru.miss");
+  static obs::Counter& hits = obs::counter("serve.lru.hit");
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
   if (it == index_.end()) {
-    obs::counter("serve.lru.miss").add(1);
+    misses.add(1);
     return std::nullopt;
   }
   order_.splice(order_.begin(), order_, it->second);
-  obs::counter("serve.lru.hit").add(1);
+  hits.add(1);
   return it->second->second;
 }
 
 void HotLru::put(std::uint64_t key, std::string value) {
+  static obs::Counter& stores = obs::counter("serve.lru.store");
+  static obs::Counter& evictions = obs::counter("serve.lru.evict");
   if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
@@ -29,21 +33,22 @@ void HotLru::put(std::uint64_t key, std::string value) {
   }
   order_.emplace_front(key, std::move(value));
   index_[key] = order_.begin();
-  obs::counter("serve.lru.store").add(1);
+  stores.add(1);
   while (order_.size() > capacity_) {
     index_.erase(order_.back().first);
     order_.pop_back();
-    obs::counter("serve.lru.evict").add(1);
+    evictions.add(1);
   }
 }
 
 void HotLru::set_capacity(std::size_t capacity) {
+  static obs::Counter& evictions = obs::counter("serve.lru.evict");
   std::lock_guard<std::mutex> lock(mutex_);
   capacity_ = capacity;
   while (order_.size() > capacity_) {
     index_.erase(order_.back().first);
     order_.pop_back();
-    obs::counter("serve.lru.evict").add(1);
+    evictions.add(1);
   }
 }
 

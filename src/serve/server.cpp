@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/reqtrace.h"
-#include "serve/telemetry.h"
 
 namespace lvf2::serve {
 
@@ -92,11 +91,11 @@ std::string render_serve_section() {
   return out;
 }
 
-// The manifest's "serve_telemetry" section: per-op totals, rung mix,
-// quantiles, and the deadline block check.sh --serve gates on. The
-// telemetry singleton is leaked, so this stays valid at atexit.
+// The manifest's "serve_telemetry" section: the per-op rows and the
+// deadline block check.sh --serve gates on. Read from the (leaked)
+// metrics registry, so it stays valid at atexit.
 std::string render_serve_telemetry_section() {
-  return ServeTelemetry::instance().manifest_section();
+  return obs::json_write(serve_metrics_json());
 }
 
 // A refused request (drain or admission-full) still leaves a trace
@@ -234,12 +233,7 @@ core::Status Server::start() {
       "serve", render_serve_section);
   obs::ManifestRecorder::instance().set_section_provider(
       "serve_telemetry", render_serve_telemetry_section);
-  {
-    ServeTelemetry& telemetry = ServeTelemetry::instance();
-    telemetry.set_deadline_budget_ms(options_.default_deadline_ms);
-    // Cleared in wait(): the provider captures `this`.
-    telemetry.set_queue_depth_provider([this] { return queue_.depth(); });
-  }
+  obs::gauge("serve.deadline_budget_ms").set(options_.default_deadline_ms);
   RequestTraceLog::instance().configure_from_env();
   started_ = true;
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -267,7 +261,8 @@ void Server::accept_loop() {
       if (errno == EINTR) continue;
       break;
     }
-    obs::counter("serve.connections").add(1);
+    static obs::Counter& connections = obs::counter("serve.connections");
+    connections.add(1);
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conn->number = g_next_conn.fetch_add(1, std::memory_order_relaxed);
@@ -288,7 +283,8 @@ std::size_t Server::respond(Connection& conn, std::uint64_t id,
   std::lock_guard<std::mutex> lock(conn.write_mutex);
   if (conn.broken.load(std::memory_order_relaxed)) return 0;
   if (core::Status st = write_frame(conn.fd, body); !st.is_ok()) {
-    obs::counter("serve.io.write_failed").add(1);
+    static obs::Counter& write_failed = obs::counter("serve.io.write_failed");
+    write_failed.add(1);
     obs::log_warn("serve.write_failed", {{"error", st.to_string()}});
     // A failed write can leave the peer mid-frame with no way to
     // re-synchronize; shut the socket down so the peer sees EOF (and
@@ -302,12 +298,17 @@ std::size_t Server::respond(Connection& conn, std::uint64_t id,
 }
 
 void Server::reader_loop(std::shared_ptr<Connection> conn) {
+  static obs::Counter& read_failed = obs::counter("serve.io.read_failed");
+  static obs::Counter& drain_refused = obs::counter("serve.drain_refused");
+  static obs::Counter& rejected = obs::counter("serve.rejected");
+  static obs::Counter& accepted = obs::counter("serve.accepted");
+  static obs::Gauge& queue_depth = obs::gauge("serve.queue_depth");
   std::string body;
   while (true) {
     const core::Status read_status = read_frame(conn->fd, body);
     if (!read_status.is_ok()) {
       if (read_status.code() != core::StatusCode::kCancelled) {
-        obs::counter("serve.io.read_failed").add(1);
+        read_failed.add(1);
         // An oversized frame is answerable (the stream is positioned
         // at the next frame boundary only if we drop the connection,
         // so tell the peer why before closing).
@@ -328,9 +329,9 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     }
     const std::uint64_t rid =
         g_next_rid.fetch_add(1, std::memory_order_relaxed);
-    ServeTelemetry::instance().record_request(request.op);
+    record_request(request.op);
     if (draining_.load(std::memory_order_relaxed)) {
-      obs::counter("serve.drain_refused").add(1);
+      drain_refused.add(1);
       // The refusal payload names the server-minted request id so a
       // client (or operator grepping the access log) can correlate
       // which in-flight requests the drain turned away.
@@ -353,9 +354,13 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     const std::uint64_t id = item.request.id;
     const std::string op = item.request.op;  // survives the push
     // try_push marks item.shed when admission crosses the watermark;
-    // the dispatcher reads the verdict off the queued item.
+    // the dispatcher reads the verdict off the queued item. The depth
+    // gauge counts the item before the push, so the dispatcher's
+    // decrement can never take it below zero.
+    queue_depth.add(1);
     if (queue_.try_push(std::move(item)) == Admit::kRejected) {
-      obs::counter("serve.rejected").add(1);
+      queue_depth.add(-1);
+      rejected.add(1);
       const core::Status refusal = core::Status::resource_exhausted(
           "admission queue full; request " + std::to_string(rid) +
           " not admitted");
@@ -367,7 +372,7 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
       trace_refusal(rid, conn->number, refused, refusal, bytes_in,
                     bytes_out);
     } else {
-      obs::counter("serve.accepted").add(1);
+      accepted.add(1);
     }
   }
 }
@@ -387,7 +392,10 @@ void Server::dispatcher_loop() {
       if (!more.has_value()) break;
       batch.push_back(std::move(*more));
     }
-    obs::gauge("serve.batch_size").set(static_cast<double>(batch.size()));
+    static obs::Gauge& batch_size = obs::gauge("serve.batch_size");
+    static obs::Gauge& queue_depth = obs::gauge("serve.queue_depth");
+    batch_size.set(static_cast<double>(batch.size()));
+    queue_depth.add(-static_cast<double>(batch.size()));
     exec::parallel_for(batch.size(), 1,
                        [&](std::size_t i) { process(batch[i]); });
   }
@@ -396,21 +404,30 @@ void Server::dispatcher_loop() {
 void Server::process(PendingRequest& item) {
   static obs::Histogram& latency = obs::histogram(
       "serve.latency_ms", {1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000});
+  static obs::Gauge& inflight = obs::gauge("serve.inflight");
+  static obs::Counter& shed_drain = obs::counter("serve.shed.drain");
+  static obs::Counter& shed_overload = obs::counter("serve.shed.overload");
+  static obs::Counter& shed_deadline = obs::counter("serve.shed.deadline");
+  static obs::Counter& completed_failed =
+      obs::counter("serve.completed.failed");
+  static obs::Counter& completed_degraded =
+      obs::counter("serve.completed.degraded");
+  static obs::Counter& completed_full = obs::counter("serve.completed.full");
+  static obs::Counter& responded = obs::counter("serve.responded");
   // Timeline split: queue_ms covers arrival -> here (admission wait +
   // dispatch), exec_ms covers the handler + response write.
   const auto exec_start = std::chrono::steady_clock::now();
   const double queue_ms = std::chrono::duration<double, std::milli>(
                               exec_start - item.arrival)
                               .count();
-  ServeTelemetry& telemetry = ServeTelemetry::instance();
-  telemetry.inflight_add(1);
+  inflight.add(1);
   ExecMode mode = ExecMode::kFull;
   if (draining_.load(std::memory_order_relaxed)) {
     // Drain shed: queued work still gets an answer, from the floor.
-    obs::counter("serve.shed.drain").add(1);
+    shed_drain.add(1);
     mode = ExecMode::kShedFloor;
   } else if (item.shed) {
-    obs::counter("serve.shed.overload").add(1);
+    shed_overload.add(1);
     mode = ExecMode::kShedLight;
   }
 
@@ -422,7 +439,7 @@ void Server::process(PendingRequest& item) {
     // The clock started at arrival: queue wait burns budget too.
     const double remaining = budget_ms - now_elapsed_ms(item.arrival);
     if (remaining <= 0.0) {
-      obs::counter("serve.shed.deadline").add(1);
+      shed_deadline.add(1);
       mode = ExecMode::kShedFloor;
       result = handle_request(context_, item.request, mode);
     } else {
@@ -436,21 +453,20 @@ void Server::process(PendingRequest& item) {
   const double elapsed_ms = now_elapsed_ms(item.arrival);
   latency.observe(elapsed_ms);
   if (!result.status.is_ok()) {
-    obs::counter("serve.completed.failed").add(1);
+    completed_failed.add(1);
   } else if (result.degradation != "none") {
-    obs::counter("serve.completed.degraded").add(1);
+    completed_degraded.add(1);
   } else {
-    obs::counter("serve.completed.full").add(1);
+    completed_full.add(1);
   }
   const std::size_t bytes_out =
       respond(*item.conn, item.request.id, result.status, result.degradation,
               elapsed_ms, result.status.is_ok() ? &result.result : nullptr);
-  obs::counter("serve.responded").add(1);
+  responded.add(1);
   const double exec_ms = now_elapsed_ms(exec_start);
-  telemetry.inflight_add(-1);
-  telemetry.record_response(item.request.op, result.status.is_ok(),
-                            result.degradation, queue_ms, exec_ms,
-                            budget_ms);
+  inflight.add(-1);
+  record_response(item.request.op, result.status.is_ok(), result.degradation,
+                  queue_ms, exec_ms, budget_ms);
   if (reqtrace_enabled()) {
     RequestTrace t;
     t.rid = item.rid;
@@ -513,8 +529,6 @@ void Server::wait() {
   obs::gauge("serve.queue.high_water")
       .set(static_cast<double>(queue_.high_water()));
   obs::gauge("serve.drained").set(1.0);
-  // The provider captured `this`; the telemetry singleton outlives us.
-  ServeTelemetry::instance().set_queue_depth_provider(nullptr);
   RequestTraceLog::instance().stop();
   joined_ = true;
   obs::log_info("serve.drained", {});

@@ -11,6 +11,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -282,6 +283,28 @@ TEST(ExecDeterminism, PathMonteCarloStableAcrossThreadCounts) {
 
 // --- pool telemetry -------------------------------------------------
 
+// One execution slot's exec.worker.* series, read from the registry.
+struct SlotRow {
+  std::uint64_t chunks = 0;
+  std::uint64_t indices = 0;
+  double busy_us = 0.0;
+};
+
+std::vector<SlotRow> worker_series() {
+  std::vector<SlotRow> rows;
+  for (const obs::Labels& labels :
+       obs::MetricsRegistry::instance().family_series("exec.worker.chunks")) {
+    const std::string& slot = labels.at(0).second;
+    const auto name = [&](std::string_view family) {
+      return obs::series_name(family, {{"slot", slot}});
+    };
+    rows.push_back({obs::counter(name("exec.worker.chunks")).value(),
+                    obs::counter(name("exec.worker.indices")).value(),
+                    obs::double_counter(name("exec.worker.busy_us")).value()});
+  }
+  return rows;
+}
+
 TEST(PoolTelemetry, DisabledByDefaultAndTogglable) {
   EXPECT_FALSE(telemetry_enabled());  // LVF2_EXEC_TELEMETRY unset
   set_telemetry(true);
@@ -292,10 +315,10 @@ TEST(PoolTelemetry, DisabledByDefaultAndTogglable) {
 
 TEST(PoolTelemetry, CountsEveryChunkAndIndexUnderStress) {
   ScopedThreadCount guard(8);
-  const std::vector<WorkerTelemetry> before = telemetry_snapshot();
+  const std::vector<SlotRow> before = worker_series();
   std::uint64_t chunks_before = 0;
   std::uint64_t indices_before = 0;
-  for (const WorkerTelemetry& slot : before) {
+  for (const SlotRow& slot : before) {
     chunks_before += slot.chunks;
     indices_before += slot.indices;
   }
@@ -313,12 +336,12 @@ TEST(PoolTelemetry, CountsEveryChunkAndIndexUnderStress) {
   set_telemetry(false);
   EXPECT_EQ(ran.load(), kN * kJobs);
 
-  const std::vector<WorkerTelemetry> after = telemetry_snapshot();
+  const std::vector<SlotRow> after = worker_series();
   ASSERT_FALSE(after.empty());
   std::uint64_t chunks = 0;
   std::uint64_t indices = 0;
   std::size_t active_slots = 0;
-  for (const WorkerTelemetry& slot : after) {
+  for (const SlotRow& slot : after) {
     chunks += slot.chunks;
     indices += slot.indices;
     if (slot.indices > 0) ++active_slots;
@@ -347,13 +370,13 @@ TEST(PoolTelemetry, CountsEveryChunkAndIndexUnderStress) {
 TEST(PoolTelemetry, OffPathRecordsNothingNew) {
   ScopedThreadCount guard(4);
   ASSERT_FALSE(telemetry_enabled());
-  const std::vector<WorkerTelemetry> before = telemetry_snapshot();
+  const std::vector<SlotRow> before = worker_series();
   parallel_for(1000, 7, [](std::size_t) {});
-  const std::vector<WorkerTelemetry> after = telemetry_snapshot();
+  const std::vector<SlotRow> after = worker_series();
   std::uint64_t before_indices = 0;
   std::uint64_t after_indices = 0;
-  for (const WorkerTelemetry& slot : before) before_indices += slot.indices;
-  for (const WorkerTelemetry& slot : after) after_indices += slot.indices;
+  for (const SlotRow& slot : before) before_indices += slot.indices;
+  for (const SlotRow& slot : after) after_indices += slot.indices;
   EXPECT_EQ(before_indices, after_indices);
 }
 

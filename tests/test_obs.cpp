@@ -363,6 +363,184 @@ TEST(MetricsRegistry, WriteJsonRoundTrips) {
   std::remove(path.c_str());
 }
 
+// --- Labeled series ---
+
+// The lines of a Prometheus exposition.
+std::vector<std::string> prom_lines() {
+  std::vector<std::string> lines;
+  std::istringstream in(obs::MetricsRegistry::instance().to_prometheus());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// The sample lines under `# TYPE <family> <type>`, which must occur
+// exactly once; empty when it does not.
+std::vector<std::string> prom_family(const std::string& family,
+                                     const std::string& type) {
+  const std::vector<std::string> lines = prom_lines();
+  const std::string header = "# TYPE " + family + " " + type;
+  std::vector<std::string> samples;
+  int headers = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i] != header) continue;
+    ++headers;
+    for (std::size_t j = i + 1; j < lines.size() && lines[j][0] != '#'; ++j) {
+      samples.push_back(lines[j]);
+    }
+  }
+  EXPECT_EQ(headers, 1) << header;
+  return headers == 1 ? samples : std::vector<std::string>{};
+}
+
+bool has_line_starting(const std::vector<std::string>& lines,
+                       const std::string& prefix) {
+  for (const std::string& line : lines) {
+    if (line.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
+}
+
+TEST(MetricsRegistry, LabeledSeriesOneTypePerFamily) {
+  // A plain instrument, a same-prefix neighbour that sorts between it
+  // and its labeled siblings, and two labeled series: one family.
+  obs::counter("test.ls.count").add(1);
+  obs::counter("test.ls.count.x").add(1);
+  obs::counter(obs::series_name("test.ls.count", {{"k", "a"}})).add(2);
+  obs::counter(obs::series_name("test.ls.count", {{"k", "b"}})).add(3);
+  const auto counters = prom_family("lvf2_test_ls_count_total", "counter");
+  ASSERT_EQ(counters.size(), 3u);
+  EXPECT_TRUE(has_line_starting(counters, "lvf2_test_ls_count_total 1"));
+  EXPECT_TRUE(
+      has_line_starting(counters, "lvf2_test_ls_count_total{k=\"a\"} 2"));
+  EXPECT_TRUE(
+      has_line_starting(counters, "lvf2_test_ls_count_total{k=\"b\"} 3"));
+
+  obs::double_counter(obs::series_name("test.ls.dcount", {{"k", "a"}}))
+      .add(0.5);
+  obs::double_counter(obs::series_name("test.ls.dcount", {{"k", "b"}}))
+      .add(1.5);
+  EXPECT_EQ(prom_family("lvf2_test_ls_dcount_total", "counter").size(), 2u);
+
+  obs::gauge(obs::series_name("test.ls.gauge", {{"k", "a"}})).set(1.0);
+  obs::gauge(obs::series_name("test.ls.gauge", {{"k", "b"}})).set(2.0);
+  EXPECT_EQ(prom_family("lvf2_test_ls_gauge", "gauge").size(), 2u);
+
+  obs::digest(obs::series_name("test.ls.digest", {{"k", "a"}})).observe(1.0);
+  obs::digest(obs::series_name("test.ls.digest", {{"k", "b"}})).observe(2.0);
+  // Five quantiles plus _sum and _count per series.
+  EXPECT_EQ(prom_family("lvf2_test_ls_digest", "summary").size(), 14u);
+
+  // No family anywhere in the exposition is declared twice.
+  std::map<std::string, int> declared;
+  for (const std::string& line : prom_lines()) {
+    if (line.rfind("# TYPE ", 0) == 0) ++declared[line];
+  }
+  for (const auto& [line, count] : declared) EXPECT_EQ(count, 1) << line;
+}
+
+TEST(MetricsRegistry, LabeledSeriesMergesQuantileAndLeLabels) {
+  obs::digest(obs::series_name("test.ls.merge.digest", {{"op", "x"}}))
+      .observe(4.0);
+  obs::histogram(obs::series_name("test.ls.merge.hist", {{"op", "x"}}),
+                 {1.0})
+      .observe(0.5);
+  const auto digest = prom_family("lvf2_test_ls_merge_digest", "summary");
+  EXPECT_TRUE(has_line_starting(
+      digest, "lvf2_test_ls_merge_digest{op=\"x\",quantile=\"0.5\"} 4"));
+  EXPECT_TRUE(has_line_starting(
+      digest, "lvf2_test_ls_merge_digest{op=\"x\",quantile=\"0.999\"} "));
+  EXPECT_TRUE(
+      has_line_starting(digest, "lvf2_test_ls_merge_digest_sum{op=\"x\"} 4"));
+  EXPECT_TRUE(has_line_starting(
+      digest, "lvf2_test_ls_merge_digest_count{op=\"x\"} 1"));
+  const auto hist = prom_family("lvf2_test_ls_merge_hist", "histogram");
+  EXPECT_TRUE(has_line_starting(
+      hist, "lvf2_test_ls_merge_hist_bucket{op=\"x\",le=\"1\"} 1"));
+  EXPECT_TRUE(has_line_starting(
+      hist, "lvf2_test_ls_merge_hist_bucket{op=\"x\",le=\"+Inf\"} 1"));
+  EXPECT_TRUE(
+      has_line_starting(hist, "lvf2_test_ls_merge_hist_count{op=\"x\"} 1"));
+}
+
+TEST(MetricsRegistry, LabeledSeriesEscapesLabelValues) {
+  const std::string raw = "a\\b\"c\nd";
+  const std::string name = obs::series_name("test.ls.escape", {{"v", raw}});
+  EXPECT_EQ(name, "test.ls.escape{v=\"a\\\\b\\\"c\\nd\"}");
+  obs::counter(name).add(1);
+  EXPECT_EQ(prom_family("lvf2_test_ls_escape_total", "counter"),
+            std::vector<std::string>{
+                "lvf2_test_ls_escape_total{v=\"a\\\\b\\\"c\\nd\"} 1"});
+  const std::vector<obs::Labels> series =
+      obs::MetricsRegistry::instance().family_series("test.ls.escape");
+  ASSERT_EQ(series.size(), 1u);
+  EXPECT_EQ(series[0], (obs::Labels{{"v", raw}}));
+}
+
+TEST(MetricsRegistry, LabeledSeriesJsonKeysByFullName) {
+  obs::counter(obs::series_name("test.ls.json", {{"op", "x"}})).add(5);
+  obs::gauge(obs::series_name("test.ls.json.gauge", {{"op", "x"}})).set(2.5);
+  JsonParser parser(obs::MetricsRegistry::instance().to_json());
+  const JsonValue root = parser.parse();
+  ASSERT_TRUE(parser.ok()) << parser.error();
+  EXPECT_EQ(root.at("counters").at("test.ls.json{op=\"x\"}").number, 5.0);
+  EXPECT_EQ(root.at("gauges").at("test.ls.json.gauge{op=\"x\"}").number,
+            2.5);
+}
+
+TEST(MetricsRegistry, LabeledSeriesFamilyEnumeration) {
+  obs::counter("test.ls.enum");  // plain: not a labeled series
+  obs::counter(obs::series_name("test.ls.enum", {{"op", "b"}, {"rung", "y"}}));
+  obs::counter(obs::series_name("test.ls.enum", {{"op", "a"}, {"rung", "x"}}));
+  obs::digest(obs::series_name("test.ls.enum", {{"op", "c"}, {"rung", "z"}}));
+  obs::counter(obs::series_name("test.ls.enum_other", {{"op", "d"}}));
+  const std::vector<obs::Labels> series =
+      obs::MetricsRegistry::instance().family_series("test.ls.enum");
+  const std::vector<obs::Labels> expected = {
+      {{"op", "a"}, {"rung", "x"}},
+      {{"op", "b"}, {"rung", "y"}},
+      {{"op", "c"}, {"rung", "z"}}};
+  EXPECT_EQ(series, expected);
+  EXPECT_TRUE(obs::MetricsRegistry::instance()
+                  .family_series("test.ls.no_such_family")
+                  .empty());
+  EXPECT_EQ(obs::series_name("test.ls.enum", {}), "test.ls.enum");
+}
+
+TEST(MetricsRegistry, LabeledSeriesConcurrentCreateAndAddIsExact) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 2000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      const std::string own = std::to_string(t);
+      for (int i = 0; i < kPerThread; ++i) {
+        // Resolved by name every time: creation races creation.
+        obs::counter(obs::series_name("test.ls.mt", {{"t", "shared"}})).add(1);
+        obs::counter(obs::series_name("test.ls.mt", {{"t", own}})).add(1);
+        obs::double_counter(obs::series_name("test.ls.mt.d", {{"t", own}}))
+            .add(0.5);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(obs::counter(obs::series_name("test.ls.mt", {{"t", "shared"}}))
+                .value(),
+            static_cast<std::uint64_t>(kThreads * kPerThread));
+  for (int t = 0; t < kThreads; ++t) {
+    const std::string own = std::to_string(t);
+    EXPECT_EQ(obs::counter(obs::series_name("test.ls.mt", {{"t", own}}))
+                  .value(),
+              static_cast<std::uint64_t>(kPerThread));
+    EXPECT_DOUBLE_EQ(
+        obs::double_counter(obs::series_name("test.ls.mt.d", {{"t", own}}))
+            .value(),
+        0.5 * kPerThread);
+  }
+  EXPECT_EQ(obs::MetricsRegistry::instance().family_series("test.ls.mt").size(),
+            static_cast<std::size_t>(kThreads + 1));
+}
+
 // --- Tracer ---
 
 TEST(Tracer, DisabledByDefaultWhenEnvUnset) {

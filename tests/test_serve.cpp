@@ -19,8 +19,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,7 +41,6 @@
 #include "serve/protocol.h"
 #include "serve/reqtrace.h"
 #include "serve/server.h"
-#include "serve/telemetry.h"
 
 namespace lvf2 {
 namespace {
@@ -504,15 +505,21 @@ TEST(ServeHandlers, YieldHsShedAnswersFromModelTail) {
   EXPECT_EQ(shed.degradation, "point_mass");
 }
 
+// The `metrics` op is a wire contract: perfbench/src/serve.cpp,
+// tools/lvf2_top and tools/lvf2d_soak read the fields asserted here.
 TEST(ServeHandlers, MetricsOpExposesSnapshotAndPrometheus) {
   serve::HandlerContext ctx;
   configure_context(ctx);
-  // Seed the telemetry so the snapshot has at least one op row.
-  serve::ServeTelemetry& telemetry = serve::ServeTelemetry::instance();
-  telemetry.record_request("ping");
-  telemetry.record_response("ping", /*is_ok=*/true, "none",
-                            /*queue_ms=*/0.25, /*exec_ms=*/1.5,
-                            /*budget_ms=*/250.0);
+  // Seed the per-op series: an ok answer within its deadline, a
+  // degraded answer, a failure, and an unknown op folding into "other".
+  serve::record_request("ping");
+  serve::record_response("ping", /*ok=*/true, "none", /*queue_ms=*/0.25,
+                         /*exec_ms=*/1.5, /*budget_ms=*/250.0);
+  serve::record_request("bin");
+  serve::record_response("bin", /*ok=*/true, "single_sn", 0.5, 2.0, 0.0);
+  serve::record_request("bin");
+  serve::record_response("bin", /*ok=*/false, "none", 0.5, 2.0, 0.0);
+  serve::record_request("no_such_op");
 
   serve::Request request;
   request.op = "metrics";
@@ -520,27 +527,101 @@ TEST(ServeHandlers, MetricsOpExposesSnapshotAndPrometheus) {
   const serve::HandlerResult json_result =
       serve::handle_request(ctx, request, serve::ExecMode::kFull);
   ASSERT_TRUE(json_result.status.is_ok()) << json_result.status.to_string();
-  const obs::JsonValue* ops = json_result.result.find("ops");
+  const obs::JsonValue& snap = json_result.result;
+  for (const char* key :
+       {"uptime_s", "queue_depth", "inflight", "deadline_budget_ms"}) {
+    const obs::JsonValue* v = snap.find(key);
+    ASSERT_NE(v, nullptr) << key;
+    EXPECT_EQ(v->type, obs::JsonValue::Type::kNumber) << key;
+  }
+  EXPECT_GE(snap.number_or("uptime_s", -1.0), 0.0);
+  const obs::JsonValue* ops = snap.find("ops");
   ASSERT_NE(ops, nullptr);
   ASSERT_TRUE(ops->is_object());
-  const obs::JsonValue* ping_row = ops->find("ping");
-  ASSERT_NE(ping_row, nullptr);
-  EXPECT_GE(ping_row->number_or("requests", 0.0), 1.0);
-  EXPECT_GE(ping_row->number_or("responded", 0.0), 1.0);
-  ASSERT_NE(ping_row->find("deadline"), nullptr);
-  EXPECT_GE(ping_row->find("deadline")->number_or("total", 0.0), 1.0);
-  ASSERT_NE(ping_row->find("queue_ms"), nullptr);
-  EXPECT_NE(json_result.result.find("registry"), nullptr);
-  EXPECT_GE(json_result.result.number_or("uptime_s", -1.0), 0.0);
+  for (const char* op : {"ping", "bin", "other"}) {
+    SCOPED_TRACE(op);
+    const obs::JsonValue* row = ops->find(op);
+    ASSERT_NE(row, nullptr);
+    for (const char* key : {"requests", "responded", "ok", "failed"}) {
+      ASSERT_NE(row->find(key), nullptr) << key;
+    }
+    const obs::JsonValue* rungs = row->find("degradation");
+    ASSERT_NE(rungs, nullptr);
+    double rung_sum = 0.0;
+    for (const char* rung : {"none", "cached", "single_sn", "point_mass"}) {
+      ASSERT_NE(rungs->find(rung), nullptr) << rung;
+      rung_sum += rungs->number_or(rung, 0.0);
+    }
+    const obs::JsonValue* deadline = row->find("deadline");
+    ASSERT_NE(deadline, nullptr);
+    for (const char* key : {"total", "met", "compliance"}) {
+      ASSERT_NE(deadline->find(key), nullptr) << key;
+    }
+    for (const char* block : {"queue_ms", "exec_ms"}) {
+      const obs::JsonValue* q = row->find(block);
+      ASSERT_NE(q, nullptr) << block;
+      for (const char* key : {"count", "p50", "p95", "p99"}) {
+        ASSERT_NE(q->find(key), nullptr) << block << "." << key;
+      }
+      EXPECT_EQ(q->number_or("count", -1.0), row->number_or("responded", 0.0))
+          << block;
+    }
+    // Every answer is ok or failed, every ok answer has one rung.
+    EXPECT_EQ(row->number_or("ok", 0.0) + row->number_or("failed", 0.0),
+              row->number_or("responded", -1.0));
+    EXPECT_EQ(rung_sum, row->number_or("ok", -1.0));
+  }
+  const obs::JsonValue& ping = *ops->find("ping");
+  EXPECT_GE(ping.number_or("requests", 0.0), 1.0);
+  EXPECT_GE(ping.number_or("responded", 0.0), 1.0);
+  EXPECT_GE(ping.find("deadline")->number_or("total", 0.0), 1.0);
+  EXPECT_GE(ping.find("queue_ms")->number_or("p50", -1.0), 0.0);
+  const obs::JsonValue& bin = *ops->find("bin");
+  EXPECT_GE(bin.number_or("failed", 0.0), 1.0);
+  EXPECT_GE(bin.find("degradation")->number_or("single_sn", 0.0), 1.0);
+  EXPECT_GE(ops->find("other")->number_or("requests", 0.0), 1.0);
+  EXPECT_EQ(ops->find("no_such_op"), nullptr);
+  // The full registry rides along, each series keyed by its full name.
+  const obs::JsonValue* registry = snap.find("registry");
+  ASSERT_NE(registry, nullptr);
+  const obs::JsonValue* counters = registry->find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->number_or("serve.op.requests{op=\"ping\"}", -1.0),
+            ping.number_or("requests", 0.0));
 
   request.params = *obs::json_parse(R"({"format":"prometheus"})");
   const serve::HandlerResult prom_result =
       serve::handle_request(ctx, request, serve::ExecMode::kFull);
   ASSERT_TRUE(prom_result.status.is_ok()) << prom_result.status.to_string();
   const std::string text = prom_result.result.string_or("text", "");
-  EXPECT_NE(text.find("# TYPE"), std::string::npos);
-  EXPECT_NE(text.find("lvf2_serve_uptime_seconds"), std::string::npos);
+  std::map<std::string, int> declared;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      ++declared[line.substr(7, line.find(' ', 7) - 7)];
+    }
+  }
+  for (const auto& [family, count] : declared) {
+    EXPECT_EQ(count, 1) << family << " declared more than once";
+  }
+  for (const char* family :
+       {"lvf2_serve_op_requests_total", "lvf2_serve_op_responded_total",
+        "lvf2_serve_op_ok_total", "lvf2_serve_op_failed_total",
+        "lvf2_serve_op_degraded_total", "lvf2_serve_op_deadline_total",
+        "lvf2_serve_op_deadline_met_total", "lvf2_serve_op_queue_ms",
+        "lvf2_serve_op_exec_ms", "lvf2_serve_uptime_seconds",
+        "lvf2_serve_queue_depth", "lvf2_serve_inflight"}) {
+    EXPECT_EQ(declared[family], 1) << family;
+  }
+  EXPECT_EQ(text.find("lvf2_serve_op_rate"), std::string::npos);
   EXPECT_NE(text.find("lvf2_serve_op_requests_total{op=\"ping\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("lvf2_serve_op_degraded_total{op=\"bin\","
+                      "rung=\"single_sn\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("lvf2_serve_op_queue_ms{op=\"ping\",quantile=\"0.99\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("lvf2_serve_op_exec_ms_count{op=\"ping\"}"),
             std::string::npos);
 
   request.params = *obs::json_parse(R"({"format":"xml"})");

@@ -2,6 +2,7 @@
 // interface: construction, fitting, distribution-function sanity,
 // LVF^2 EM recovery and backward compatibility (paper Eq. 10).
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -338,6 +339,14 @@ TEST(Lvf2Model, FitSanitizesPoisonedSamples) {
   xs[500] = std::numeric_limits<double>::infinity();
   xs[900] = -std::numeric_limits<double>::infinity();
   xs[1234] = 1e9;  // absurd outlier spike
+  // The honest samples alone: the fit must not see the spike at all,
+  // so its distribution matches this one's at the data's quantiles.
+  std::vector<double> clean;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (i != 10 && i != 500 && i != 900 && i != 1234) clean.push_back(xs[i]);
+  }
+  std::vector<double> sorted = clean;
+  std::sort(sorted.begin(), sorted.end());
   for (const MixtureFamily& family : kMixtureFamilies) {
     SCOPED_TRACE(family.name);
     EmReport rep;
@@ -345,9 +354,18 @@ TEST(Lvf2Model, FitSanitizesPoisonedSamples) {
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(rep.dropped_samples, 3u);
     EXPECT_GE(rep.clipped_samples, 1u);
+    EXPECT_EQ(rep.degradation, FitDegradation::kNone);
     EXPECT_TRUE(std::isfinite(m->mean()));
     EXPECT_NEAR(m->mean(), 1.25, 0.1);
     EXPECT_LT(m->stddev(), 1.0);
+
+    const auto reference = family.fit(clean, {}, nullptr);
+    ASSERT_TRUE(reference.has_value());
+    for (double q : {0.05, 0.25, 0.50, 0.75, 0.95}) {
+      const double x = sorted[static_cast<std::size_t>(
+          q * static_cast<double>(sorted.size() - 1))];
+      EXPECT_NEAR(m->cdf(x), reference->cdf(x), 0.01) << "q=" << q;
+    }
   }
 }
 

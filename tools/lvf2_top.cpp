@@ -1,9 +1,11 @@
 // lvf2_top — polling terminal monitor for a running lvf2d. Sends the
 // `metrics` protocol op on an interval and renders the snapshot as a
-// compact dashboard: per-op QPS (1s/10s/60s windows), p50/p95/p99
-// latency split queue/exec, the degradation-rung mix, and SLO burn
-// against the configured deadline budget (deadline compliance plus
-// the deadline population's p99 queue+exec against the budget).
+// compact dashboard: per-op QPS, p50/p95/p99 latency split
+// queue/exec, the degradation-rung mix, and SLO burn against the
+// configured deadline budget (deadline compliance plus the deadline
+// population's p99 queue+exec against the budget). QPS is
+// Δrequests/Δuptime between polls; the first frame (and --once) shows
+// the lifetime average.
 //
 // usage: lvf2_top --connect unix:<path>|tcp:<port>
 //                 [--interval-ms 1000] [--count N] [--once]
@@ -26,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -117,19 +120,31 @@ double q_of(const obs::JsonValue& row, const char* block, const char* q) {
   return 0.0;
 }
 
-void render(const obs::JsonValue& snap) {
+/// Per-op request totals and uptime of the previous frame, for QPS.
+struct PrevFrame {
+  double uptime_s = 0.0;
+  std::map<std::string, double> requests;
+};
+
+void render(const obs::JsonValue& snap, PrevFrame& prev) {
+  const double uptime = snap.number_or("uptime_s", 0.0);
   std::printf("lvf2d  up %.0fs  queue %d  inflight %d  budget %.0fms\n",
-              snap.number_or("uptime_s", 0.0),
+              uptime,
               static_cast<int>(snap.number_or("queue_depth", 0.0)),
               static_cast<int>(snap.number_or("inflight", 0.0)),
               snap.number_or("deadline_budget_ms", 0.0));
   std::printf(
-      "%-10s %7s %7s %6s %6s | %6s %6s %6s | %6s %6s %6s | %7s\n", "op",
-      "req", "resp", "qps1s", "qps10", "q_p50", "q_p95", "q_p99", "x_p50",
-      "x_p95", "x_p99", "slo");
+      "%-10s %7s %7s %7s | %6s %6s %6s | %6s %6s %6s | %7s\n", "op",
+      "req", "resp", "qps", "q_p50", "q_p95", "q_p99", "x_p50", "x_p95",
+      "x_p99", "slo");
   const obs::JsonValue* ops = snap.find("ops");
   if (ops == nullptr || !ops->is_object()) return;
+  const double span = uptime - prev.uptime_s;
   for (const auto& [name, row] : ops->object) {
+    const double requests = row.number_or("requests", 0.0);
+    const double qps =
+        span > 0.0 ? (requests - prev.requests[name]) / span : 0.0;
+    prev.requests[name] = requests;
     const double dl_total = q_of(row, "deadline", "total");
     std::string slo = "-";
     if (dl_total > 0.0) {
@@ -139,11 +154,10 @@ void render(const obs::JsonValue& snap) {
       slo = buf;
     }
     std::printf(
-        "%-10s %7.0f %7.0f %6.0f %6.1f | %6.1f %6.1f %6.1f | %6.1f %6.1f "
+        "%-10s %7.0f %7.0f %7.1f | %6.1f %6.1f %6.1f | %6.1f %6.1f "
         "%6.1f | %7s\n",
-        name.c_str(), row.number_or("requests", 0.0),
-        row.number_or("responded", 0.0), row.number_or("rate_1s", 0.0),
-        row.number_or("rate_10s", 0.0) / 10.0, q_of(row, "queue_ms", "p50"),
+        name.c_str(), requests, row.number_or("responded", 0.0), qps,
+        q_of(row, "queue_ms", "p50"),
         q_of(row, "queue_ms", "p95"), q_of(row, "queue_ms", "p99"),
         q_of(row, "exec_ms", "p50"), q_of(row, "exec_ms", "p95"),
         q_of(row, "exec_ms", "p99"), slo.c_str());
@@ -159,6 +173,7 @@ void render(const obs::JsonValue& snap) {
       if (!mix.empty()) std::printf("           degraded:%s\n", mix.c_str());
     }
   }
+  prev.uptime_s = uptime;
 }
 
 }  // namespace
@@ -201,6 +216,7 @@ int main(int argc, char** argv) {
 
   int fd = -1;
   long shown = 0;
+  PrevFrame prev;
   while (count == 0 || shown < count) {
     const std::optional<obs::JsonValue> snap =
         fetch(fd, connect, prometheus);
@@ -214,7 +230,7 @@ int main(int argc, char** argv) {
       std::printf("%s\n", obs::json_write(*snap).c_str());
     } else {
       if (!once && shown > 0) std::printf("\n");
-      render(*snap);
+      render(*snap, prev);
     }
     std::fflush(stdout);
     ++shown;
