@@ -453,13 +453,12 @@ void BM_DisabledProfilerSample(benchmark::State& state) {
 }
 BENCHMARK(BM_DisabledProfilerSample);
 
-// Disabled-path cost of pool telemetry: with LVF2_EXEC_TELEMETRY
-// unset, each fork-join chunk pays one relaxed atomic load before
-// running its body.
+// Disabled-path cost of pool telemetry: with no manifest armed, each
+// fork-join chunk pays one relaxed atomic load before running its
+// body.
 void BM_PoolTelemetryOverhead(benchmark::State& state) {
   if (exec::telemetry_enabled()) {
-    state.SkipWithError(
-        "LVF2_EXEC_TELEMETRY is set; disabled-path bench is void");
+    state.SkipWithError("LVF2_MANIFEST is set; disabled-path bench is void");
     return;
   }
   for (auto _ : state) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure + build (warnings-as-errors on the
 # instrumented targets) + ctest, then an end-to-end smoke test of the
-# observability sinks (LVF2_TRACE / LVF2_METRICS / LVF2_LOG) against
+# observability sinks (LVF2_TRACE / LVF2_MANIFEST / LVF2_LOG) against
 # a real pipeline run, then the QoR regression gate: a fixed-seed
 # manifest run diffed arc-by-arc against scripts/golden/
 # qor_manifest.json with lvf2_report.
@@ -25,9 +25,10 @@
 # bit-for-bit.
 #
 # Tier-1.5 (--perf): the performance-observability gate — a profiled
-# (LVF2_PROFILE), telemetry-armed (LVF2_EXEC_TELEMETRY,
-# LVF2_ALLOC_STATS) bench_table1_scenarios run must emit a folded
-# profile whose hot stacks name the pipeline stages, bench_perf must
+# (LVF2_PROFILE) manifest run of bench_table1_scenarios on the default
+# SIMD tier must emit a folded profile whose hot stacks name the
+# pipeline stages and a manifest with per-worker pool telemetry and
+# alloc accounting (both on while a manifest is armed), bench_perf must
 # hold the disabled-hook budget and write BENCH_perf_micro.json, and
 # `lvf2_report perf` must pass vs scripts/golden/perf_manifest.json
 # (budget LVF2_PERF_BUDGET percent, default 300) while still failing
@@ -211,10 +212,10 @@ if [ "$PERF" = 1 ]; then
   fi
   REPORT="$BUILD_DIR/tools/lvf2_report"
 
-  echo "-- profiled pipeline run (profiler + exec telemetry + alloc stats)"
+  # Default SIMD tier: the profiler must survive the vector kernels.
+  # The armed manifest turns pool telemetry and alloc accounting on.
+  echo "-- profiled pipeline run (profiler + manifest telemetry)"
   LVF2_PROFILE="$PERF_DIR/profile.folded,hz=300" \
-  LVF2_EXEC_TELEMETRY=1 \
-  LVF2_ALLOC_STATS=1 \
   LVF2_MANIFEST="$PERF_DIR/perf_manifest.json" \
     "$BUILD_DIR/bench/bench_table1_scenarios" --samples 4000 --seed 2024 \
     >/dev/null
@@ -238,6 +239,13 @@ if [ "$PERF" = 1 ]; then
     || { echo "FAIL: manifest has no resource section"; exit 1; }
   grep -q '"profile":{' "$PERF_DIR/perf_manifest.json" \
     || { echo "FAIL: manifest has no profile section"; exit 1; }
+  grep -q '"telemetry":true,"per_worker":\[{' "$PERF_DIR/perf_manifest.json" \
+    || { echo "FAIL: manifest exec section lacks per-worker telemetry"; \
+         exit 1; }
+  grep -qE '"alloc":\{"enabled":true,"count":[1-9]' \
+      "$PERF_DIR/perf_manifest.json" \
+    || { echo "FAIL: manifest resource section lacks alloc accounting"; \
+         exit 1; }
   "$REPORT" canon "$PERF_DIR/perf_manifest.json" \
     | grep -qE '"exec"|"resource"|"profile"' \
     && { echo "FAIL: telemetry sections leaked into the canonical form"; \
@@ -419,7 +427,6 @@ if [ "$SERVE" = 1 ]; then
     LVF2_DEADLINE_MS=250 \
     LVF2_FAULTS="socket.read:0.1,socket.write:0.1,cache.read_io:0.1,em.collapse:0.1;seed=2024" \
     LVF2_MANIFEST="$SOAK_DIR/serve_manifest.json" \
-    LVF2_METRICS="$SOAK_DIR/serve_metrics.json" \
     LVF2_ACCESS_LOG="$SOAK_DIR/access.log" || exit 1
   # The soak runs in the background so lvf2_top can scrape the live
   # daemon mid-soak; the soak itself also hits the metrics op inline
@@ -687,15 +694,13 @@ SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 LVF2_TRACE="$SMOKE_DIR/trace.json" \
-LVF2_METRICS="$SMOKE_DIR/metrics.json" \
-LVF2_METRICS_SUMMARY=1 \
 LVF2_LOG=info \
 LVF2_BENCH_JSON="$SMOKE_DIR" \
 LVF2_MANIFEST="$SMOKE_DIR/manifest.json" \
   "$BUILD_DIR/bench/bench_table1_scenarios" --samples 4000 --seed 2024 \
   >/dev/null
 
-for f in trace.json metrics.json BENCH_table1_scenarios.json manifest.json; do
+for f in trace.json BENCH_table1_scenarios.json manifest.json; do
   [ -s "$SMOKE_DIR/$f" ] || { echo "FAIL: $f was not written"; exit 1; }
 done
 
@@ -706,13 +711,13 @@ d = sys.argv[1]
 trace = json.load(open(os.path.join(d, "trace.json")))
 assert isinstance(trace["traceEvents"], list) and trace["traceEvents"], \
     "trace has no events"
-metrics = json.load(open(os.path.join(d, "metrics.json")))
-for key in ("mc.samples", "em.iterations", "em.nonconverged"):
-    assert key in metrics["counters"], f"metrics missing {key}"
-assert metrics["counters"]["mc.samples"] > 0
 bench = json.load(open(os.path.join(d, "BENCH_table1_scenarios.json")))
 assert bench["wall_s"] > 0 and "registry" in bench
 manifest = json.load(open(os.path.join(d, "manifest.json")))
+metrics = manifest["metrics"]
+for key in ("mc.samples", "em.iterations", "em.nonconverged"):
+    assert key in metrics["counters"], f"manifest metrics missing {key}"
+assert metrics["counters"]["mc.samples"] > 0
 assert manifest["schema_version"] == 1 and len(manifest["arcs"]) == 5, \
     "manifest missing arc rows"
 assert manifest["stages"], "manifest has no stage rollups"

@@ -88,17 +88,16 @@ std::string exec_section_json() {
   return out;
 }
 
-// Reads LVF2_EXEC_TELEMETRY and registers the manifest `exec` section
-// at static-initialization time, mirroring the other obs env gates.
-struct ExecTelemetryEnvInit {
-  ExecTelemetryEnvInit() {
-    if (const char* v = std::getenv("LVF2_EXEC_TELEMETRY")) {
-      if (v[0] != '\0' && v[0] != '0') set_telemetry(true);
-    }
-    obs::ManifestRecorder::instance().set_section_provider(
-        "exec", [] { return exec_section_json(); });
+// Registers the manifest `exec` section at static-initialization time
+// and records per-slot telemetry exactly while a manifest is armed:
+// the manifest is the only reader of those rows.
+struct ExecManifestInit {
+  ExecManifestInit() {
+    obs::ManifestRecorder& recorder = obs::ManifestRecorder::instance();
+    recorder.set_section_provider("exec", [] { return exec_section_json(); });
+    recorder.on_arm(set_telemetry);
   }
-} g_exec_telemetry_env_init;
+} g_exec_manifest_init;
 
 obs::Histogram& chunk_latency_histogram() {
   static obs::Histogram& h = obs::histogram(

@@ -56,8 +56,8 @@ extern std::atomic<bool> g_telemetry_enabled;
 }  // namespace detail
 
 /// True when pool telemetry (per-chunk latency histograms, per-worker
-/// utilization, chunk-claim counters) is recording — enabled by
-/// LVF2_EXEC_TELEMETRY=1 at startup or set_telemetry(). Relaxed load:
+/// utilization, chunk-claim counters) is recording — exactly while a
+/// run manifest is armed, or after set_telemetry(). Relaxed load:
 /// the only cost paid per chunk when telemetry is off
 /// (BM_PoolTelemetryOverhead in bench_perf, same < 5 ns budget as a
 /// disabled span).
@@ -65,8 +65,8 @@ inline bool telemetry_enabled() {
   return detail::g_telemetry_enabled.load(std::memory_order_relaxed);
 }
 
-/// Runtime override (tests / benches). Counters keep their totals
-/// across off/on transitions.
+/// Switch driven by the manifest recorder's arm state, and a test
+/// hook. Counters keep their totals across off/on transitions.
 void set_telemetry(bool enabled);
 
 /// Per-slot telemetry lives in the metrics registry as the series

@@ -19,10 +19,30 @@ std::atomic<bool> g_manifest_enabled{false};
 
 namespace {
 
+// Retired switches whose output the manifest carries or whose value
+// the program now derives. A set one is ignored, with one stderr line
+// naming its replacement (stderr, not the logger: LVF2_LOG is off by
+// default).
+constexpr std::pair<const char*, const char*> kRetiredSwitches[] = {
+    {"LVF2_METRICS", "the \"metrics\" member of the LVF2_MANIFEST file"},
+    {"LVF2_METRICS_SUMMARY", "lvf2_report show on the LVF2_MANIFEST file"},
+    {"LVF2_EXEC_TELEMETRY", "LVF2_MANIFEST, which turns pool telemetry on"},
+    {"LVF2_ALLOC_STATS", "LVF2_MANIFEST, which turns alloc accounting on"},
+    {"LVF2_ACCESS_LOG_MAX_KB", "a fixed 4096 KiB access-log cap"},
+    {"LVF2_YIELD_DEBUG", "LVF2_LOG=debug"},
+};
+
 // Arms the recorder at static-initialization time so a manifest
-// covers main() end to end, mirroring LVF2_TRACE / LVF2_METRICS.
+// covers main() end to end, mirroring LVF2_TRACE.
 struct ManifestEnvInit {
   ManifestEnvInit() {
+    for (const auto& [name, replacement] : kRetiredSwitches) {
+      if (std::getenv(name) != nullptr) {
+        std::fprintf(stderr,
+                     "lvf2-obs: %s is retired and ignored; replaced by %s\n",
+                     name, replacement);
+      }
+    }
     if (const char* path = std::getenv("LVF2_MANIFEST")) {
       if (path[0] != '\0') ManifestRecorder::instance().start(path);
     }
@@ -186,6 +206,8 @@ void ManifestRecorder::start(const std::string& path) {
     if (armed_) return;
     armed_ = true;
     path_ = path;
+    set_alloc_stats(true);
+    for (const auto& hook : arm_hooks_) hook(true);
   }
   // Stage rollups come from the tracer even when LVF2_TRACE is unset.
   Tracer::instance().enable_rollup();
@@ -212,11 +234,21 @@ void ManifestRecorder::stop() {
 void ManifestRecorder::discard() {
   detail::g_manifest_enabled.store(false, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mutex_);
+  if (armed_) {
+    set_alloc_stats(false);
+    for (const auto& hook : arm_hooks_) hook(false);
+  }
   armed_ = false;
   path_.clear();
   config_.clear();
   arcs_.clear();
   endpoints_.clear();
+}
+
+void ManifestRecorder::on_arm(std::function<void(bool)> hook) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (armed_) hook(true);
+  arm_hooks_.push_back(std::move(hook));
 }
 
 void ManifestRecorder::set_config_rendered(std::string_view key,

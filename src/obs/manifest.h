@@ -106,14 +106,23 @@ class ManifestRecorder {
   static ManifestRecorder& instance();
 
   /// Arms the recorder: records `path` as the sink, enables the hook
-  /// flag and switches the tracer into rollup mode so stage timings
-  /// accumulate even without LVF2_TRACE. No-op when already armed.
+  /// flag, switches the tracer into rollup mode so stage timings
+  /// accumulate even without LVF2_TRACE, and turns on the telemetry
+  /// only the manifest shows — alloc accounting and every on_arm
+  /// hook. No-op when already armed.
   void start(const std::string& path);
   /// Renders and atomically writes the manifest, then disarms and
   /// clears the recorded state. No-op when not armed.
   void stop();
   /// Disarms and clears without writing (test support).
   void discard();
+
+  /// Registers `hook`, called with true when the recorder arms and
+  /// with false when it disarms (at once with true when registered
+  /// while armed). How a subsystem ties recording that only the
+  /// manifest shows (exec pool telemetry) to the manifest. The hook
+  /// must not call back into the recorder.
+  void on_arm(std::function<void(bool)> hook);
 
   /// Run-configuration entries (last write wins, insertion order
   /// preserved). Strings are escaped; numbers render as JSON numbers.
@@ -172,6 +181,7 @@ class ManifestRecorder {
   std::vector<EndpointQor> endpoints_;
   std::vector<std::pair<std::string, std::function<std::string()>>>
       sections_;
+  std::vector<std::function<void(bool)>> arm_hooks_;
 };
 
 /// Runs `fn(ManifestRecorder&)` only when a manifest is armed; the

@@ -1,60 +1,11 @@
 #include "obs/metrics.h"
 
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
 
-#include "obs/manifest.h"
+#include "obs/json.h"
 
 namespace lvf2::obs {
-
-namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-void append_json_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
-// Registers the exit-time sinks when the metrics env vars are set.
-struct MetricsEnvInit {
-  MetricsEnvInit() {
-    const char* path = std::getenv("LVF2_METRICS");
-    if (path != nullptr && path[0] != '\0') {
-      static std::string sink_path;
-      sink_path = path;
-      std::atexit(
-          [] { MetricsRegistry::instance().write_json(sink_path); });
-    }
-    const char* summary = std::getenv("LVF2_METRICS_SUMMARY");
-    if (summary != nullptr && summary[0] != '\0' &&
-        std::string_view(summary) != "0") {
-      std::atexit([] { MetricsRegistry::instance().write_text(stderr); });
-    }
-  }
-} g_metrics_env_init;
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {}
@@ -227,7 +178,7 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, c] : counters_) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    json_append_string(out, name);
     out += ':';
     out += std::to_string(c.value());
   }
@@ -236,30 +187,30 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, c] : double_counters_) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    json_append_string(out, name);
     out += ':';
-    append_json_number(out, c.value());
+    json_append_number(out, c.value());
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, g] : gauges_) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    json_append_string(out, name);
     out += ':';
-    append_json_number(out, g.value());
+    json_append_number(out, g.value());
   }
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    json_append_string(out, name);
     out += ":{\"bounds\":[";
     const auto& bounds = h.bounds();
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       if (i > 0) out += ',';
-      append_json_number(out, bounds[i]);
+      json_append_number(out, bounds[i]);
     }
     out += "],\"counts\":[";
     const auto counts = h.bucket_counts();
@@ -270,7 +221,7 @@ std::string MetricsRegistry::to_json() const {
     out += "],\"count\":";
     out += std::to_string(h.count());
     out += ",\"sum\":";
-    append_json_number(out, h.sum());
+    json_append_number(out, h.sum());
     out += '}';
   }
   out += "},\"digests\":{";
@@ -278,7 +229,7 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, d] : digests_) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    json_append_string(out, name);
     out += ':';
     const TDigest snap = d.snapshot();
     // Full centroid state (mergeable, 17-digit round-trippable) plus
@@ -293,9 +244,9 @@ std::string MetricsRegistry::to_json() const {
     for (const auto& [label, q] : kQuantiles) {
       if (!first_q) out += ',';
       first_q = false;
-      append_json_string(out, label);
+      json_append_string(out, label);
       out += ':';
-      append_json_number(out, snap.count() > 0.0 ? snap.quantile(q) : 0.0);
+      json_append_number(out, snap.count() > 0.0 ? snap.quantile(q) : 0.0);
     }
     out += "}}";
   }
@@ -429,41 +380,6 @@ std::string MetricsRegistry::to_prometheus(std::string_view prefix) const {
     out += family.samples;
   }
   return out;
-}
-
-void MetricsRegistry::write_json(const std::string& path) const {
-  // Atomic (<path>.tmp + rename): a crashed run never leaves a
-  // truncated metrics file.
-  write_file_atomic(path, to_json() + "\n");
-}
-
-void MetricsRegistry::write_text(std::FILE* out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::fprintf(out, "--- lvf2 metrics ---\n");
-  for (const auto& [name, c] : counters_) {
-    std::fprintf(out, "counter   %-32s %llu\n", name.c_str(),
-                 static_cast<unsigned long long>(c.value()));
-  }
-  for (const auto& [name, c] : double_counters_) {
-    std::fprintf(out, "dcounter  %-32s %g\n", name.c_str(), c.value());
-  }
-  for (const auto& [name, g] : gauges_) {
-    std::fprintf(out, "gauge     %-32s %g\n", name.c_str(), g.value());
-  }
-  for (const auto& [name, h] : histograms_) {
-    const double mean =
-        (h.count() > 0) ? h.sum() / static_cast<double>(h.count()) : 0.0;
-    std::fprintf(out, "histogram %-32s count=%llu mean=%g\n", name.c_str(),
-                 static_cast<unsigned long long>(h.count()), mean);
-  }
-  for (const auto& [name, d] : digests_) {
-    const TDigest snap = d.snapshot();
-    std::fprintf(out, "digest    %-32s count=%llu p50=%g p99=%g\n",
-                 name.c_str(),
-                 static_cast<unsigned long long>(snap.count()),
-                 snap.count() > 0.0 ? snap.quantile(0.5) : 0.0,
-                 snap.count() > 0.0 ? snap.quantile(0.99) : 0.0);
-  }
 }
 
 }  // namespace lvf2::obs

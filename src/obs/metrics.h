@@ -15,15 +15,13 @@
 // family_series() enumerates a family's label sets. Resolve a series
 // once and keep the reference: the name is built from strings.
 //
-// Sinks, both driven by environment variables read at startup:
-//   LVF2_METRICS=<path>     JSON dump at process exit
-//   LVF2_METRICS_SUMMARY=1  plain-text summary to stderr at exit
-// With neither set, the registry still counts (a relaxed fetch_add)
-// but emits nothing.
+// The registry has no sink of its own: the run manifest
+// (LVF2_MANIFEST) embeds to_json() as its `metrics` member, and lvf2d
+// serves to_json()/to_prometheus() on request. Unread, it still counts
+// (a relaxed fetch_add) and emits nothing.
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <initializer_list>
 #include <map>
 #include <mutex>
@@ -180,11 +178,6 @@ class MetricsRegistry {
   /// '_'. Each family gets one `# TYPE` line with all its series
   /// contiguous below it.
   std::string to_prometheus(std::string_view prefix = "lvf2_") const;
-  /// Writes to_json() to `path` (best-effort; logs to stderr on
-  /// failure).
-  void write_json(const std::string& path) const;
-  /// Human-readable summary, one instrument per line.
-  void write_text(std::FILE* out) const;
 
  private:
   MetricsRegistry() = default;

@@ -1,5 +1,5 @@
 #ifndef _GNU_SOURCE
-#define _GNU_SOURCE  // dladdr
+#define _GNU_SOURCE  // dladdr, pthread_getattr_np, REG_RIP
 #endif
 
 #include "obs/profile.h"
@@ -14,15 +14,15 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 
-#if __has_include(<execinfo.h>) && __has_include(<sys/time.h>) && \
-    !defined(_WIN32)
+#if defined(__linux__) && __has_include(<ucontext.h>) && \
+    __has_include(<sys/time.h>)
 #define LVF2_PROFILE_SUPPORTED 1
 #include <cxxabi.h>
 #include <dlfcn.h>
-#include <execinfo.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/time.h>
+#include <ucontext.h>
 #else
 #define LVF2_PROFILE_SUPPORTED 0
 #endif
@@ -36,10 +36,6 @@ std::atomic<bool> g_profiler_enabled{false};
 namespace {
 
 constexpr std::size_t kMaxFrames = 48;
-// backtrace() called inside the sample handler sees its own frame and
-// the kernel signal trampoline before the interrupted code; both are
-// profiler noise and are dropped at drain time.
-constexpr std::size_t kSkipFrames = 2;
 constexpr std::size_t kMaxSamplesPerThread = 8192;
 constexpr std::size_t kMaxThreads = 128;
 constexpr std::size_t kStageBytes = 48;
@@ -60,6 +56,10 @@ struct Slot {
 #if LVF2_PROFILE_SUPPORTED
   pthread_t thread{};
 #endif
+  // The owning thread's stack, [stack_lo, stack_hi), once recorded:
+  // the frame walk reads no memory outside it (empty: pc alone).
+  std::uintptr_t stack_lo = 0;
+  std::uintptr_t stack_hi = 0;
   std::atomic<bool> in_use{false};
   std::atomic<Sample*> samples{nullptr};
   std::atomic<std::uint32_t> count{0};
@@ -93,9 +93,59 @@ std::string g_last_path;
 
 #if LVF2_PROFILE_SUPPORTED
 
-/// Captures one sample of the calling thread. Async-signal-safe: no
-/// locks, no allocation (backtrace is warmed up at start()).
-void sample_current_thread() {
+/// The interrupted code's program counter and frame pointer, from the
+/// signal's ucontext. Where the frame-pointer register is not known,
+/// fp is 0 and a sample holds the pc alone.
+std::pair<std::uintptr_t, std::uintptr_t> interrupted_pc_fp(
+    const void* context) {
+  const auto& mc = static_cast<const ucontext_t*>(context)->uc_mcontext;
+#if defined(__x86_64__)
+  return {static_cast<std::uintptr_t>(mc.gregs[REG_RIP]),
+          static_cast<std::uintptr_t>(mc.gregs[REG_RBP])};
+#elif defined(__aarch64__)
+  return {static_cast<std::uintptr_t>(mc.pc),
+          static_cast<std::uintptr_t>(mc.regs[29])};
+#elif defined(__i386__)
+  return {static_cast<std::uintptr_t>(mc.gregs[REG_EIP]), 0};
+#elif defined(__arm__)
+  return {static_cast<std::uintptr_t>(mc.arm_pc), 0};
+#else
+  (void)mc;
+  return {0, 0};
+#endif
+}
+
+/// Fills `frames` innermost-first: the interrupted pc, then the return
+/// address of each frame record {caller fp, return address} on the
+/// saved frame-pointer chain. A step is taken only while the record
+/// is aligned, lies inside the thread's stack, and sits strictly above
+/// the previous one, so a clobbered or foreign fp (code built without
+/// frame pointers) ends the walk instead of faulting. Not
+/// instrumented by ASan: a foreign fp may land in a poisoned redzone
+/// of the same stack, which is mapped and safe to read.
+__attribute__((no_sanitize_address)) std::int32_t walk_frames(
+    std::uintptr_t pc, std::uintptr_t fp, const Slot& slot, void** frames) {
+  if (pc == 0) return 0;
+  std::int32_t n = 0;
+  frames[n++] = reinterpret_cast<void*>(pc);
+  constexpr std::uintptr_t kWord = sizeof(std::uintptr_t);
+  while (n < static_cast<std::int32_t>(kMaxFrames) && fp % kWord == 0 &&
+         fp >= slot.stack_lo && fp + 2 * kWord <= slot.stack_hi) {
+    const auto* record = reinterpret_cast<const std::uintptr_t*>(fp);
+    const std::uintptr_t next = record[0];
+    const std::uintptr_t ret = record[1];
+    if (ret == 0) break;
+    frames[n++] = reinterpret_cast<void*>(ret);
+    if (next <= fp) break;
+    fp = next;
+  }
+  return n;
+}
+
+/// Captures one sample of the calling thread, interrupted at
+/// `context`. Async-signal-safe: no locks, no allocation, and memory
+/// reads confined to the thread's own stack.
+void sample_current_thread(const void* context) {
   Slot* slot = t_slot;
   if (slot == nullptr) return;
   Sample* buffer = slot->samples.load(std::memory_order_acquire);
@@ -106,8 +156,8 @@ void sample_current_thread() {
     return;
   }
   Sample& sample = buffer[index];
-  sample.frame_count =
-      ::backtrace(sample.frames, static_cast<int>(kMaxFrames));
+  const auto [pc, fp] = interrupted_pc_fp(context);
+  sample.frame_count = walk_frames(pc, fp, *slot, sample.frames);
   const std::uint32_t depth = t_stages.depth.load(std::memory_order_relaxed);
   if (depth > 0) {
     const std::uint32_t top = std::min<std::uint32_t>(depth, kMaxStageDepth);
@@ -118,17 +168,19 @@ void sample_current_thread() {
   slot->count.store(index + 1, std::memory_order_release);
 }
 
-void sample_signal_handler(int /*signum*/) {
+void sample_signal_handler(int /*signum*/, siginfo_t* /*info*/,
+                           void* context) {
   if (!profiler_enabled()) return;
   const int saved_errno = errno;
-  sample_current_thread();
+  sample_current_thread(context);
   errno = saved_errno;
 }
 
 /// SIGALRM from the interval timer, delivered to an arbitrary thread:
 /// samples the receiving thread directly and forwards SIGPROF to
 /// every other registered thread. pthread_kill is async-signal-safe.
-void broadcast_signal_handler(int /*signum*/) {
+void broadcast_signal_handler(int /*signum*/, siginfo_t* /*info*/,
+                              void* context) {
   if (!profiler_enabled()) return;
   const int saved_errno = errno;
   g_broadcasting.store(true, std::memory_order_seq_cst);
@@ -138,7 +190,7 @@ void broadcast_signal_handler(int /*signum*/) {
     Slot& slot = g_slots[i];
     if (!slot.in_use.load(std::memory_order_acquire)) continue;
     if (pthread_equal(slot.thread, self)) {
-      sample_current_thread();
+      sample_current_thread(context);
     } else {
       pthread_kill(slot.thread, SIGPROF);
     }
@@ -151,14 +203,14 @@ bool install_handlers_locked() {
   if (g_handlers_installed) return true;
   struct sigaction sample_action;
   std::memset(&sample_action, 0, sizeof(sample_action));
-  sample_action.sa_handler = sample_signal_handler;
-  sample_action.sa_flags = SA_RESTART;
+  sample_action.sa_sigaction = sample_signal_handler;
+  sample_action.sa_flags = SA_RESTART | SA_SIGINFO;
   sigemptyset(&sample_action.sa_mask);
   sigaddset(&sample_action.sa_mask, SIGALRM);
   struct sigaction broadcast_action;
   std::memset(&broadcast_action, 0, sizeof(broadcast_action));
-  broadcast_action.sa_handler = broadcast_signal_handler;
-  broadcast_action.sa_flags = SA_RESTART;
+  broadcast_action.sa_sigaction = broadcast_signal_handler;
+  broadcast_action.sa_flags = SA_RESTART | SA_SIGINFO;
   sigemptyset(&broadcast_action.sa_mask);
   sigaddset(&broadcast_action.sa_mask, SIGPROF);
   if (sigaction(SIGPROF, &sample_action, nullptr) != 0 ||
@@ -168,6 +220,22 @@ bool install_handlers_locked() {
   }
   g_handlers_installed = true;
   return true;
+}
+
+/// Records the calling thread's stack range in its slot. A malloc and
+/// a syscall inside pthread_getattr_np, so paid only by threads that
+/// can be sampled: those registering while a session runs, and the
+/// thread that starts one — not on every pool worker's start-up.
+void record_stack_range(Slot& slot) {
+  pthread_attr_t attr;
+  if (pthread_getattr_np(pthread_self(), &attr) != 0) return;
+  void* base = nullptr;
+  std::size_t size = 0;
+  if (pthread_attr_getstack(&attr, &base, &size) == 0) {
+    slot.stack_lo = reinterpret_cast<std::uintptr_t>(base);
+    slot.stack_hi = slot.stack_lo + size;
+  }
+  pthread_attr_destroy(&attr);
 }
 
 bool set_timer(int hz) {
@@ -280,12 +348,17 @@ void register_current_thread() {
     Slot& slot = g_slots[i];
     if (slot.in_use.load(std::memory_order_relaxed)) continue;
     slot.thread = pthread_self();
+    slot.stack_lo = 0;
+    slot.stack_hi = 0;
     slot.in_use.store(true, std::memory_order_release);
     const std::size_t high = g_slot_high_water.load(std::memory_order_relaxed);
     if (i + 1 > high) {
       g_slot_high_water.store(i + 1, std::memory_order_release);
     }
-    if (profiler_enabled()) ensure_buffer_locked(slot);
+    if (profiler_enabled()) {
+      ensure_buffer_locked(slot);
+      record_stack_range(slot);
+    }
     t_slot = &slot;
     return;
   }
@@ -406,12 +479,11 @@ bool Profiler::start(const ProfileOptions& options) {
     return false;
   }
   if (!install_handlers_locked()) return false;
-  // backtrace() lazily loads libgcc on first use (a malloc + dlopen);
-  // force that outside signal context.
-  void* warmup[4];
-  ::backtrace(warmup, 4);
 
   register_current_thread();
+  if (t_slot != nullptr && t_slot->stack_hi == 0) {
+    record_stack_range(*t_slot);
+  }
   {
     std::lock_guard<std::mutex> slots_lock(g_slots_mutex);
     const std::size_t high = g_slot_high_water.load(std::memory_order_relaxed);
@@ -434,12 +506,14 @@ bool Profiler::start(const ProfileOptions& options) {
   }
   g_running = true;
 
+  // The provider owns a copy of the options: the exit-time manifest
+  // write can run after g_options is destroyed.
   with_manifest([&](ManifestRecorder& m) {
-    m.set_section_provider("profile", [] {
+    m.set_section_provider("profile", [options] {
       const ProfileStats stats = Profiler::instance().stats();
       std::string out = "{\"path\":";
-      json_append_string(out, g_options.path);
-      out += ",\"hz\":" + std::to_string(g_options.hz);
+      json_append_string(out, options.path);
+      out += ",\"hz\":" + std::to_string(options.hz);
       out += ",\"samples\":" + std::to_string(stats.samples);
       out += ",\"dropped\":" + std::to_string(stats.dropped);
       out += ",\"threads\":" + std::to_string(stats.threads);
@@ -479,10 +553,8 @@ void Profiler::stop() {
     ++stats.threads;
     for (std::uint32_t s = 0; s < count; ++s) {
       const Sample& sample = buffer[s];
-      const std::size_t frames =
-          static_cast<std::size_t>(std::max<std::int32_t>(sample.frame_count, 0));
-      const std::size_t skip = std::min(kSkipFrames, frames);
-      folded.add(sample.stage, sample.frames + skip, frames - skip);
+      folded.add(sample.stage, sample.frames,
+                 static_cast<std::size_t>(sample.frame_count));
     }
   }
 

@@ -1,8 +1,11 @@
 #pragma once
 // Sampling wall-clock profiler: a POSIX interval timer (SIGALRM)
 // broadcasts a sample signal (SIGPROF) to every registered thread;
-// each thread's handler captures its own backtrace() plus the active
-// trace-span stage into a preallocated per-thread buffer. Buffers are
+// each thread's handler walks its own saved frame pointers, starting
+// from the interrupted pc/fp in the signal's ucontext and bounded to
+// the thread's stack (the tree builds with -fno-omit-frame-pointer),
+// and stores the stack plus the active trace-span stage into a
+// preallocated per-thread buffer. Buffers are
 // drained at stop()/exit into a flamegraph-compatible folded-stack
 // file: one line per unique (stage, stack), root frame first,
 //
@@ -71,7 +74,10 @@ std::string current_stage();
 /// Registers the calling thread for sampling until the matching
 /// unregister (RAII: ThreadRegistration). Safe to call when the
 /// profiler is off — the slot simply stays idle until a session
-/// starts. exec::Pool workers hold one for their lifetime.
+/// starts. exec::Pool workers hold one for their lifetime. The stack
+/// range that bounds the frame walk is recorded when a thread
+/// registers during a session (or starts one); a thread registered
+/// before the session is sampled at its pc alone.
 void register_current_thread();
 void unregister_current_thread();
 
@@ -87,9 +93,9 @@ struct ThreadRegistration {
 /// frames; the profiler feeds it at drain time, never from a handler.
 class FoldedProfile {
  public:
-  /// Merges one sample: `frames` are innermost-first return addresses
-  /// (as delivered by backtrace()), `stage` the span tag ("" becomes
-  /// "(untagged)").
+  /// Merges one sample: `frames` are innermost-first code addresses
+  /// (the interrupted pc, then return addresses), `stage` the span tag
+  /// ("" becomes "(untagged)").
   void add(std::string_view stage, const void* const* frames,
            std::size_t frame_count, std::uint64_t count = 1);
 

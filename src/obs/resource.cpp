@@ -51,14 +51,6 @@ std::map<std::string, StageAlloc, std::less<>>* stage_rollup() {
   return rollup;
 }
 
-struct AllocStatsEnvInit {
-  AllocStatsEnvInit() {
-    if (const char* v = std::getenv("LVF2_ALLOC_STATS")) {
-      if (v[0] != '\0' && v[0] != '0') set_alloc_stats(true);
-    }
-  }
-} g_alloc_stats_env_init;
-
 inline void count_allocation(std::size_t size) {
   if (!alloc_stats_enabled()) return;
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);

@@ -1,12 +1,12 @@
 #pragma once
 // Resource accountant: process-wide peak RSS and getrusage deltas,
 // recorded into every run manifest as a `resource` section (one
-// syscall at serialization time — always on), plus optional
-// operator-new allocation counters (LVF2_ALLOC_STATS=1) that the
+// syscall at serialization time — always on), plus operator-new
+// allocation counters, on exactly while a manifest is armed, that the
 // tracer rolls up per stage so allocation pressure is attributed to
 // characterize/EM/MC/SSTA the same way wall time is.
 //
-// Disabled-path contract: with LVF2_ALLOC_STATS unset every global
+// Disabled-path contract: with no manifest armed every global
 // operator new pays one relaxed atomic load on top of malloc; the
 // per-stage rollup hook in TraceSpan is the same single load.
 
@@ -21,15 +21,15 @@ namespace detail {
 extern std::atomic<bool> g_alloc_stats_enabled;
 }  // namespace detail
 
-/// True when operator-new accounting is on (LVF2_ALLOC_STATS=1 or
+/// True when operator-new accounting is on (a manifest is armed, or
 /// set_alloc_stats). Relaxed load: the only cost paid per allocation
 /// when accounting is off.
 inline bool alloc_stats_enabled() {
   return detail::g_alloc_stats_enabled.load(std::memory_order_relaxed);
 }
 
-/// Runtime override (tests). Counters keep their totals across
-/// off/on transitions.
+/// Switch used by ManifestRecorder start/discard, and a test hook.
+/// Counters keep their totals across off/on transitions.
 void set_alloc_stats(bool enabled);
 
 /// Point-in-time allocation totals. Process totals aggregate relaxed

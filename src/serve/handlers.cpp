@@ -530,7 +530,7 @@ HandlerResult op_stats(const HandlerContext& ctx) {
   };
   static const Field kFields[] = {
       {"accepted", obs::counter("serve.accepted")},
-      {"completed", obs::counter("serve.completed")},
+      {"completed", obs::counter("serve.responded")},
       {"rejected", obs::counter("serve.rejected")},
       {"shed_overload", obs::counter("serve.shed.overload")},
       {"shed_deadline", obs::counter("serve.shed.deadline")},

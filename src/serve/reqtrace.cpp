@@ -15,6 +15,9 @@ std::atomic<bool> g_reqtrace_enabled{false};
 
 namespace {
 
+// Size cap of the LVF2_ACCESS_LOG file before it rotates.
+constexpr std::size_t kAccessLogMaxKb = 4096;
+
 void append_record(std::string& out, const RequestTrace& t) {
   out += "{\"rid\":";
   out += std::to_string(t.rid);
@@ -49,13 +52,7 @@ RequestTraceLog& RequestTraceLog::instance() {
 void RequestTraceLog::configure_from_env() {
   const char* path = std::getenv("LVF2_ACCESS_LOG");
   if (path == nullptr || path[0] == '\0') return;
-  std::size_t max_kb = 4096;
-  if (const char* cap = std::getenv("LVF2_ACCESS_LOG_MAX_KB");
-      cap != nullptr && cap[0] != '\0') {
-    const long parsed = std::strtol(cap, nullptr, 10);
-    if (parsed > 0) max_kb = static_cast<std::size_t>(parsed);
-  }
-  if (configure(path, max_kb)) start();
+  if (configure(path, kAccessLogMaxKb)) start();
 }
 
 bool RequestTraceLog::configure(std::string path, std::size_t max_kb) {

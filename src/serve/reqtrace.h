@@ -16,9 +16,9 @@
 //   {"rid":..,"conn":..,"op":"..","status":"..","degradation":"..",
 //    "mode":"ok|refused","queue_ms":..,"exec_ms":..,
 //    "bytes_in":..,"bytes_out":..}
-// Rotation: when the file would exceed LVF2_ACCESS_LOG_MAX_KB
-// (default 4096), it is renamed to <path>.1 (replacing any previous
-// .1) and a fresh file is started — bounded disk, ~2x cap worst case.
+// Rotation: when the file would exceed 4 MiB, it is renamed to
+// <path>.1 (replacing any previous .1) and a fresh file is started —
+// bounded disk, ~2x cap worst case.
 
 #include <array>
 #include <atomic>
@@ -106,8 +106,8 @@ class RequestTraceLog {
  public:
   static RequestTraceLog& instance();
 
-  /// Reads LVF2_ACCESS_LOG / LVF2_ACCESS_LOG_MAX_KB; starts the
-  /// writer when the path is set. Safe to call when already running.
+  /// Reads LVF2_ACCESS_LOG; starts the writer, capped at 4 MiB, when
+  /// the path is set. Safe to call when already running.
   void configure_from_env();
   /// Programmatic setup (tests). `max_kb` caps the file size before
   /// rotation. Returns false if already running.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <utility>
@@ -12,6 +10,7 @@
 #include "core/cancel.h"
 #include "exec/pool.h"
 #include "obs/json.h"
+#include "obs/log.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -456,11 +455,12 @@ ShiftVector ImportanceSampler::find_shift(double threshold_ns) const {
     }
     shift = mean;
     if (gamma == threshold_ns) reached_target = true;
-    if (std::getenv("LVF2_YIELD_DEBUG") != nullptr) {
-      std::fprintf(stderr,
-                   "CE round=%zu gamma=%g target=%zu eff=%g |shift|=%g\n",
-                   round, gamma, target_rounds, effective_elites,
-                   norm(shift));
+    if (obs::log_enabled(obs::LogLevel::kDebug)) {
+      obs::log_debug("yield.ce_round", {{"round", round},
+                                        {"gamma", gamma},
+                                        {"target", target_rounds},
+                                        {"eff", effective_elites},
+                                        {"shift_norm", norm(shift)}});
     }
   }
   // The schedule never produced an accepted target-level proposal:

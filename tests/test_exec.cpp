@@ -306,7 +306,7 @@ std::vector<SlotRow> worker_series() {
 }
 
 TEST(PoolTelemetry, DisabledByDefaultAndTogglable) {
-  EXPECT_FALSE(telemetry_enabled());  // LVF2_EXEC_TELEMETRY unset
+  EXPECT_FALSE(telemetry_enabled());  // no manifest armed
   set_telemetry(true);
   EXPECT_TRUE(telemetry_enabled());
   set_telemetry(false);

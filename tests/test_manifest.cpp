@@ -372,6 +372,28 @@ TEST(Manifest, AssessPathEmitsEndpointRow) {
   EXPECT_EQ(models->object.size(), 4u);
 }
 
+TEST(Manifest, ShowListsMetricsCountersAndGauges) {
+  obs::counter("test.show.counter").add(7);
+  obs::gauge("test.show.gauge").set(2.5);
+  const obs::JsonValue doc = build_manifest(
+      "lvf2_manifest_show.json", [](obs::ManifestRecorder&) {});
+  const std::string shown = tools::render_manifest(doc);
+  const std::size_t counters = shown.find("\ncounters:\n");
+  const std::size_t gauges = shown.find("\ngauges:\n");
+  ASSERT_NE(counters, std::string::npos) << shown;
+  ASSERT_NE(gauges, std::string::npos) << shown;
+  // The row of `name`, from the name to the end of its line.
+  const auto row = [&](const char* name) {
+    const std::size_t at = shown.find(name);
+    if (at == std::string::npos) return std::string();
+    return shown.substr(at, shown.find('\n', at) - at);
+  };
+  EXPECT_GT(shown.find("test.show.counter"), counters);
+  EXPECT_GT(shown.find("test.show.gauge"), gauges);
+  EXPECT_EQ(row("test.show.counter").substr(40), " 7");
+  EXPECT_EQ(row("test.show.gauge").substr(40), " 2.5");
+}
+
 TEST(ReportCli, ShowDiffAndExitCodes) {
   const std::string ref = temp_path("lvf2_cli_ref.json");
   const std::string drifted = temp_path("lvf2_cli_drift.json");

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -352,15 +353,31 @@ TEST(MetricsRegistry, DigestInstrumentSnapshotsAndExports) {
   EXPECT_NE(prom.find("lvf2_test_digest_latency_sum"), std::string::npos);
 }
 
-TEST(MetricsRegistry, WriteJsonRoundTrips) {
-  const std::string path = temp_path("lvf2_metrics_test.json");
-  obs::counter("test.file.counter").add(1);
-  obs::MetricsRegistry::instance().write_json(path);
-  JsonParser parser(read_file(path));
-  const JsonValue root = parser.parse();
-  ASSERT_TRUE(parser.ok()) << parser.error();
-  EXPECT_TRUE(root.at("counters").has("test.file.counter"));
-  std::remove(path.c_str());
+// The snapshot the manifest embeds as its `metrics` member parses back
+// with the obs reader, every kind of instrument intact.
+TEST(MetricsRegistry, ToJsonRoundTrips) {
+  obs::counter("test.roundtrip.counter").add(3);
+  obs::gauge("test.roundtrip.gauge").set(0.25);
+  obs::histogram("test.roundtrip.histogram", {1.0, 2.0}).observe(1.5);
+  std::string error;
+  const std::optional<obs::JsonValue> root =
+      obs::json_parse(obs::MetricsRegistry::instance().to_json(), &error);
+  ASSERT_TRUE(root.has_value()) << error;
+  const obs::JsonValue* counters = root->find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->number_or("test.roundtrip.counter", -1.0), 3.0);
+  const obs::JsonValue* gauges = root->find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_EQ(gauges->number_or("test.roundtrip.gauge", -1.0), 0.25);
+  const obs::JsonValue* histograms = root->find("histograms");
+  ASSERT_NE(histograms, nullptr);
+  const obs::JsonValue* h = histograms->find("test.roundtrip.histogram");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->number_or("count", -1.0), 1.0);
+  EXPECT_EQ(h->number_or("sum", -1.0), 1.5);
+  for (const char* member : {"double_counters", "digests"}) {
+    EXPECT_TRUE(root->has(member)) << member;
+  }
 }
 
 // --- Labeled series ---

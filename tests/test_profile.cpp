@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,7 @@
 
 #include "obs/obs.h"
 #include "report.h"
+#include "simd/simd.h"
 
 namespace lvf2 {
 namespace {
@@ -201,6 +203,48 @@ TEST(Profiler, SamplesBusyLoopIntoFoldedFile) {
   std::remove(options.path.c_str());
 }
 
+// The frame walk must survive samples that land inside the AVX2
+// kernels — the tier the default build runs — and name them.
+TEST(Profiler, SurvivesAvx2KernelFrames) {
+  if (!simd::tier_available(simd::Tier::kAvx2)) {
+    GTEST_SKIP() << "AVX2 tier unavailable on this host or build";
+  }
+  const simd::Tier previous = simd::set_tier_for_testing(simd::Tier::kAvx2);
+  obs::prof::Profiler& profiler = obs::prof::Profiler::instance();
+  obs::prof::ProfileOptions options;
+  options.path = temp_path("profile_avx2.folded");
+  options.hz = 1000;
+  if (!profiler.start(options)) {
+    simd::set_tier_for_testing(previous);
+    GTEST_SKIP() << "platform without profiler support";
+  }
+
+  constexpr std::size_t kN = 4096;
+  std::vector<double> x(kN), lpa(kN), lpb(kN), resp(kN), lse(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    x[i] = -4.0 + 8.0 * static_cast<double>(i) / kN;
+  }
+  volatile double sink = 0.0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1000);
+  while (std::chrono::steady_clock::now() < deadline) {
+    simd::sn_log_pdf(0.1, 1.2, 2.5, x, lpa);
+    simd::sn_log_pdf(-0.3, 0.8, -1.5, x, lpb);
+    simd::em_responsibilities(std::log(0.4), std::log(0.6), lpa, lpb, resp,
+                              lse);
+    sink = sink + resp[kN / 2];
+  }
+  profiler.stop();
+  simd::set_tier_for_testing(previous);
+
+  EXPECT_GT(profiler.stats().samples, 0u);
+  const std::string folded = read_file(options.path);
+  EXPECT_TRUE(folded.find("em_responsibilities") != std::string::npos ||
+              folded.find("sn_log_pdf") != std::string::npos)
+      << folded.substr(0, 2000);
+  std::remove(options.path.c_str());
+}
+
 // --- resource accountant -------------------------------------------
 
 TEST(Resource, UsageReportsPeakRssAndCpu) {
@@ -213,7 +257,7 @@ TEST(Resource, UsageReportsPeakRssAndCpu) {
 }
 
 TEST(Resource, AllocCountersTrackNewWhenEnabled) {
-  ASSERT_FALSE(obs::alloc_stats_enabled());  // env-off default
+  ASSERT_FALSE(obs::alloc_stats_enabled());  // no manifest armed
   obs::set_alloc_stats(true);
   const obs::AllocSnapshot process_before = obs::process_alloc_totals();
   const obs::AllocSnapshot thread_before = obs::thread_alloc_totals();

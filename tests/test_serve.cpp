@@ -1135,5 +1135,40 @@ TEST(ServeServer, OversizedFrameIsAnsweredAndConnectionClosed) {
   server.wait();
 }
 
+// The stats op's `completed` is the count of answered requests: the
+// same serve.responded counter the drain section balances against.
+TEST(ServeHandlers, StatsCompletedCountsRespondedRequests) {
+  {
+    serve::ServerOptions options;
+    options.listen = "tcp:0";
+    options.characterize.grid = cells::SlewLoadGrid::reduced(4);
+    serve::Server server(std::move(options));
+    ASSERT_TRUE(server.start().is_ok());
+    const int fd = connect_tcp(server.tcp_port());
+    ASSERT_GE(fd, 0);
+    std::string reply;
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(serve::write_frame(fd, R"({"op":"ping"})").is_ok());
+      ASSERT_TRUE(serve::read_frame(fd, reply).is_ok());
+    }
+    ::close(fd);
+    // Drained: every answer has been counted before stats reads it.
+    server.request_stop();
+    server.wait();
+  }
+
+  serve::HandlerContext ctx;
+  configure_context(ctx);
+  serve::Request stats;
+  stats.op = "stats";
+  const serve::HandlerResult result =
+      serve::handle_request(ctx, stats, serve::ExecMode::kFull);
+  ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
+  const double responded =
+      static_cast<double>(obs::counter("serve.responded").value());
+  EXPECT_GE(responded, 3.0);
+  EXPECT_EQ(result_number(result, "completed"), responded);
+}
+
 }  // namespace
 }  // namespace lvf2

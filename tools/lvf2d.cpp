@@ -12,13 +12,14 @@
 //   LVF2_SERVE_LRU=<n>                  hot-entry LRU capacity
 //   LVF2_SERVE_SAMPLES=<n>              MC samples per cold entry
 //   LVF2_SERVE_GRID_STRIDE=<n>          reduced slew/load grid
-// plus the usual LVF2_CACHE / LVF2_FAULTS / LVF2_MANIFEST /
-// LVF2_METRICS knobs.
+// plus LVF2_CACHE / LVF2_FAULTS and the observability variables
+// LVF2_MANIFEST, LVF2_TRACE, LVF2_PROFILE, LVF2_LOG and
+// LVF2_ACCESS_LOG.
 //
 // SIGTERM / SIGINT begin a graceful drain: stop accepting, answer
 // queued work from the degradation floor, finish in-flight computes,
-// then exit 0 through main so the atexit sinks (metrics, manifest,
-// cache flush) run. The handler only writes one byte to a self-pipe
+// then exit 0 through main so the atexit sinks (manifest, trace,
+// profile, cache flush) run. The handler only writes one byte to a self-pipe
 // — everything non-async-signal-safe happens on the main thread.
 
 #include <cerrno>

@@ -360,6 +360,21 @@ std::string render_manifest(const obs::JsonValue& manifest) {
     }
   }
 
+  // The registry snapshot's scalar instruments; histograms and digests
+  // stay in the JSON.
+  if (const obs::JsonValue* metrics = manifest.find("metrics")) {
+    for (const char* kind : {"counters", "gauges"}) {
+      const obs::JsonValue* values = metrics->find(kind);
+      if (values == nullptr || values->object.empty()) continue;
+      out += std::string("\n") + kind + ":\n";
+      for (const auto& [name, value] : values->object) {
+        std::snprintf(buf, sizeof(buf), "  %-40s %.9g\n", name.c_str(),
+                      value.number);
+        out += buf;
+      }
+    }
+  }
+
   if (const obs::JsonValue* arcs = manifest.find("arcs");
       arcs != nullptr && !arcs->array.empty()) {
     out += "\narcs (" + std::to_string(arcs->array.size()) + "):\n";

@@ -63,7 +63,8 @@ std::optional<obs::JsonValue> load_manifest(const std::string& path,
                                             std::string* error = nullptr);
 
 /// Renders a manifest as human-readable tables: config, stage
-/// rollups, the per-arc QoR table and the endpoint table.
+/// rollups, the metrics counters and gauges, the per-arc QoR table and
+/// the endpoint table.
 std::string render_manifest(const obs::JsonValue& manifest);
 
 /// Canonical form for committed goldens: schema_version, tool, config
